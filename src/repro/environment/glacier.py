@@ -22,10 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.environment.seasons import melt_season_factor
-from repro.environment.weather import _block_noise, _smooth_noise
+from repro.environment.seasons import (
+    _MIDNIGHT_GUARD_S,
+    melt_season_factor,
+    melt_season_factor_many,
+)
+from repro.environment.weather import _block_noise, _smooth_noise, _smooth_noise_many
 from repro.sim.simtime import DAY, fraction_of_day
 
 
@@ -74,13 +78,40 @@ class GlacierModel:
     # ------------------------------------------------------------------
     # Melt and conductivity
     # ------------------------------------------------------------------
+    #: UTC day index and melt-season factor of the last instant
+    #: :meth:`melt_fraction` looked up away from a midnight: the probe radio
+    #: asks about thousands of instants of one day in a row.
+    _season_day = None
+    _season_factor = 0.0
+
     def melt_fraction(self, time: float) -> float:
-        """Melt-water availability in [0, 1] (seasonal with weather texture)."""
-        seasonal = melt_season_factor(time)
+        """Melt-water availability in [0, 1] (seasonal with weather texture).
+
+        Kept scalar beside :meth:`melt_fraction_many`: the probe radio draws
+        one loss per packet through here, and a column of one costs about
+        twice as much per call.
+        """
+        index = time // DAY
+        within = time - index * DAY
+        if within < _MIDNIGHT_GUARD_S or DAY - within < _MIDNIGHT_GUARD_S:
+            seasonal = melt_season_factor(time)
+        elif index == self._season_day:
+            seasonal = self._season_factor
+        else:
+            seasonal = self._season_factor = melt_season_factor(time)
+            self._season_day = index
         if seasonal <= 0.0:
             return 0.0
         texture = 0.75 + 0.25 * _smooth_noise(self.seed, "melt", time)
         return min(1.0, seasonal * texture)
+
+    def melt_fraction_many(self, times: Sequence[float]) -> List[float]:
+        """:meth:`melt_fraction` over a column of instants, bitwise equal."""
+        return [
+            0.0 if seasonal <= 0.0 else min(1.0, seasonal * (0.75 + 0.25 * noise))
+            for seasonal, noise in zip(melt_season_factor_many(times),
+                                       _smooth_noise_many(self.seed, "melt", times))
+        ]
 
     def _probe_terms(self, probe_id: int) -> tuple:
         """Cached ``(gain, noise_stream)`` for one probe id."""
@@ -92,36 +123,45 @@ class GlacierModel:
             self._probe_cache[probe_id] = cached
         return cached
 
-    def _probe_gain(self, probe_id: int) -> float:
-        """Per-probe sensitivity of conductivity to melt, stable per id."""
-        return self._probe_terms(probe_id)[0]
-
     def conductivity_us(self, time: float, probe_id: int = 0) -> float:
         """Basal electrical conductivity at one probe, in µS (Fig 6 signal)."""
+        return self.conductivity_many((time,), probe_id)[0]
+
+    def conductivity_many(self, times: Sequence[float], probe_id: int = 0) -> List[float]:
+        """:meth:`conductivity_us` over a column of instants."""
         cfg = self.config
         gain, stream = self._probe_terms(probe_id)
-        melt = self.melt_fraction(time)
-        noise = cfg.conductivity_noise_us * (
-            2.0 * _smooth_noise(self.seed, stream, time) - 1.0
-        )
-        value = cfg.conductivity_base_us + cfg.conductivity_melt_us * melt * gain
-        return max(0.0, value + noise * (0.3 + 0.7 * melt))
+        base_us = cfg.conductivity_base_us
+        melt_us = cfg.conductivity_melt_us
+        noise_us = cfg.conductivity_noise_us
+        return [
+            max(0.0, base_us + melt_us * melt * gain
+                + noise_us * (2.0 * noise - 1.0) * (0.3 + 0.7 * melt))
+            for melt, noise in zip(self.melt_fraction_many(times),
+                                   _smooth_noise_many(self.seed, stream, times))
+        ]
 
     # ------------------------------------------------------------------
     # Water pressure
     # ------------------------------------------------------------------
     def water_pressure_m(self, time: float) -> float:
         """Subglacial water pressure in metres of head."""
+        return self.water_pressure_many((time,))[0]
+
+    def water_pressure_many(self, times: Sequence[float]) -> List[float]:
+        """:meth:`water_pressure_m` over a column of instants."""
         cfg = self.config
-        melt = self.melt_fraction(time)
-        diurnal = math.sin(2.0 * math.pi * (fraction_of_day(time) - 0.33))
-        noise = 2.0 * _smooth_noise(self.seed, "pressure", time) - 1.0
-        return (
-            cfg.pressure_base_m
-            + cfg.pressure_melt_m * melt
-            + cfg.pressure_diurnal_m * melt * diurnal
-            + 3.0 * noise
-        )
+        base_m = cfg.pressure_base_m
+        melt_m = cfg.pressure_melt_m
+        diurnal_m = cfg.pressure_diurnal_m
+        two_pi = 2.0 * math.pi
+        return [
+            base_m + melt_m * melt
+            + diurnal_m * melt * math.sin(two_pi * (fraction_of_day(time) - 0.33))
+            + 3.0 * (2.0 * noise - 1.0)
+            for time, melt, noise in zip(times, self.melt_fraction_many(times),
+                                         _smooth_noise_many(self.seed, "pressure", times))
+        ]
 
     # ------------------------------------------------------------------
     # Ice motion (what the dGPS measures)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import List, Sequence
 
-from repro.sim.simtime import day_of_year
+from repro.sim.simtime import DAY, day_of_year, to_datetime
 
 #: First month of the café tourist season (inclusive).
 TOURIST_SEASON_FIRST_MONTH = 4
@@ -35,16 +36,12 @@ FREEZE_ONSET_DOY = 280
 
 @functools.lru_cache(maxsize=4096)
 def _month_of_day_index(day_index: int) -> int:
-    from repro.sim.simtime import DAY, to_datetime
-
     return to_datetime(day_index * DAY).month
 
 
 def _month(time: float) -> int:
     # The default epoch is a UTC midnight, so the calendar month is constant
     # across each whole simulated day — cache it per day index.
-    from repro.sim.simtime import DAY
-
     return _month_of_day_index(int(time // DAY))
 
 
@@ -79,3 +76,31 @@ def melt_season_factor(time: float) -> float:
     day-of-year).
     """
     return _melt_factor_for_doy(day_of_year(time))
+
+
+#: Distance from a UTC midnight inside which :func:`day_of_year`'s
+#: whole-microsecond rounding may move an instant into the neighbouring day.
+_MIDNIGHT_GUARD_S = 1e-6
+
+
+def melt_season_factor_many(times: Sequence[float]) -> List[float]:
+    """:func:`melt_season_factor` over a column of instants, bitwise equal.
+
+    The factor is constant across each UTC day (the default epoch is a UTC
+    midnight), so it is looked up once per run of same-day instants.  An
+    instant within 1 µs of a midnight takes the exact per-instant path.
+    """
+    factors = []
+    day = None
+    factor = 0.0
+    for time in times:
+        index = time // DAY
+        within = time - index * DAY
+        if within < _MIDNIGHT_GUARD_S or DAY - within < _MIDNIGHT_GUARD_S:
+            factors.append(_melt_factor_for_doy(day_of_year(time)))
+            continue
+        if index != day:
+            day = index
+            factor = _melt_factor_for_doy(day_of_year(time))
+        factors.append(factor)
+    return factors

@@ -26,7 +26,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.sim.simtime import DAY, day_of_year, fraction_of_day
 
@@ -54,6 +54,27 @@ def _smooth_noise(seed: int, stream: str, time: float) -> float:
     a = _block_noise(seed, stream, lower)
     b = _block_noise(seed, stream, lower + 1)
     return a * (1.0 - frac) + b * frac
+
+
+def _smooth_noise_many(seed: int, stream: str, times: Sequence[float]) -> List[float]:
+    """:func:`_smooth_noise` over a column of instants, bitwise equal.
+
+    The two block values are fetched once per run of instants sharing a
+    3-hour block rather than once per instant.
+    """
+    values = []
+    block = None
+    a = b = 0.0
+    for time in times:
+        position = time / NOISE_BLOCK_S - 0.5
+        lower = math.floor(position)
+        frac = position - lower
+        if lower != block:
+            block = lower
+            a = _block_noise(seed, stream, lower)
+            b = _block_noise(seed, stream, lower + 1)
+        values.append(a * (1.0 - frac) + b * frac)
+    return values
 
 
 @dataclass

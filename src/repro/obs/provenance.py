@@ -16,7 +16,9 @@ Artifact ID scheme (all components are simulated identifiers, never host
 state, so IDs are byte-stable across replays and tie-break policies):
 
 - ``reading:{probe_id}:{task_id}:{seq}`` — one probe sensor record, born
-  when its task snapshot freezes a sequence number onto it;
+  when its task snapshot freezes a sequence number onto it (keyed
+  internally by the int tuple ``(probe_id, task_id, seq)``; the string
+  form appears only in anomaly messages);
 - ``gps:{filename}`` — one dGPS observation file on a receiver card
   (e.g. ``gps:gps/base.gps/000001234.obs``);
 - ``file:{station}:{name}`` — one staged outbox file on a station card
@@ -45,7 +47,8 @@ log-volume query matches), so attaching it cannot perturb the mission.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -58,6 +61,13 @@ STOPWAIT_SOURCE = "protocol.stopwait"
 #: Stage ranks; ``lost`` is terminal and handled out-of-band.
 STAGES: Tuple[str, ...] = ("created", "stored", "queued", "transferred", "archived")
 _RANK: Dict[str, int] = {stage: rank for rank, stage in enumerate(STAGES)}
+#: Per target stage, the stages an artifact advances from as a plain
+#: forward edge: any earlier stage, plus ``transferred`` itself (a repeat
+#: transfer is idempotent).  Anything else is an anomaly or a re-transfer.
+_FORWARD_FROM: Dict[str, frozenset] = {
+    stage: frozenset(STAGES[:rank] + (("transferred",) if stage == "transferred" else ()))
+    for rank, stage in enumerate(STAGES)
+}
 
 #: Sim-time latency buckets: 1 min, 10 min, 1 h, 6 h, 1 d, 2 d, 7 d, 30 d.
 LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -65,20 +75,23 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
+def _name(key: Hashable) -> str:
+    """The artifact ID of a ledger key (readings are keyed by int tuples)."""
+    if isinstance(key, tuple):
+        return "reading:{}:{}:{}".format(*key)
+    return key
+
+
 class _Artifact:
     """Mutable per-artifact ledger row (internal)."""
 
-    __slots__ = ("artifact_id", "cls", "stage", "stage_time", "created_time",
-                 "lost_cause", "archived", "container")
+    __slots__ = ("cls", "stage", "stage_time", "lost_cause", "container")
 
-    def __init__(self, artifact_id: str, cls: str, now: float) -> None:
-        self.artifact_id = artifact_id
+    def __init__(self, cls: str, now: float) -> None:
         self.cls = cls
         self.stage = "created"
         self.stage_time = now
-        self.created_time = now
         self.lost_cause: Optional[str] = None
-        self.archived = False
         #: The ``file:`` artifact currently carrying this one, if any.
         self.container: Optional[str] = None
 
@@ -152,9 +165,11 @@ class ProvenanceLedger:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._artifacts: Dict[str, _Artifact] = {}
-        #: ``file:`` artifact id -> child artifact ids it carries.
-        self._children: Dict[str, List[str]] = {}
+        #: Artifact key -> row; a reading's key is ``(probe, task, seq)``,
+        #: every other artifact's key is its ID string.
+        self._artifacts: Dict[Hashable, _Artifact] = {}
+        #: ``file:`` artifact id -> child artifact keys it carries.
+        self._children: Dict[str, List[Hashable]] = {}
         self._anomalies: List[str] = []
         self._trace = None
         self._report: Optional[ConservationReport] = None
@@ -202,28 +217,29 @@ class ProvenanceLedger:
             if cls == "reading":
                 probe = detail["probe"]
                 task = detail["task"]
-                for seq in range(detail["first_seq"],
-                                 detail["first_seq"] + detail["count"]):
-                    self._create(f"reading:{probe}:{task}:{seq}", "reading", now)
+                first_seq = detail["first_seq"]
+                self._create([(probe, task, seq) for seq in
+                              range(first_seq, first_seq + detail["count"])],
+                             "reading", now)
             elif cls == "gps":
-                self._create(detail["artifact"], "gps", now)
+                self._create((detail["artifact"],), "gps", now)
         elif kind == "stored":
-            self._advance(detail["artifact"], "stored", now)
+            self._advance((detail["artifact"],), "stored", now)
         elif kind == "queued":
             self._on_queued(record)
         elif kind == "transferred":
             file_id = f"file:{detail['station']}:{detail['file']}"
-            self._advance(file_id, "transferred", now, cascade=True)
+            self._cascade(file_id, "transferred", now)
         elif kind == "archived":
             file_id = f"file:{detail['station']}:{detail['file']}"
-            self._advance(file_id, "archived", now, cascade=True)
+            self._cascade(file_id, "archived", now)
 
     def _on_queued(self, record) -> None:
         detail = record.detail
         now = record.time
         file_id = f"file:{detail['station']}:{detail['file']}"
-        self._create(file_id, "file", now)
-        self._advance(file_id, "queued", now)
+        self._create((file_id,), "file", now)
+        self._advance((file_id,), "queued", now)
         children = self._children.setdefault(file_id, [])
         artifact = detail.get("artifact")
         if artifact is not None:
@@ -231,13 +247,13 @@ class ProvenanceLedger:
         probe = detail.get("probe")
         if probe is not None:
             task = detail["task"]
-            children.extend(f"reading:{probe}:{task}:{seq}"
-                            for seq in detail.get("seqs", ()))
+            children.extend((probe, task, seq) for seq in detail.get("seqs", ()))
+        artifacts = self._artifacts
         for child_id in children:
-            child = self._artifacts.get(child_id)
+            child = artifacts.get(child_id)
             if child is not None:
                 child.container = file_id
-            self._advance(child_id, "queued", now)
+        self._advance(children, "queued", now)
 
     def _on_fetch(self, record) -> None:
         """Protocol fetch completion: delivered readings reach ``stored``."""
@@ -250,8 +266,7 @@ class ProvenanceLedger:
             return
         now = record.time
         seqs = detail.get("new_seqs", detail.get("delivered_seqs", ()))
-        for seq in seqs:
-            self._advance(f"reading:{probe}:{task}:{seq}", "stored", now)
+        self._advance([(probe, task, seq) for seq in seqs], "stored", now)
         rerequested = detail.get("rerequested", 0)
         if rerequested:
             self.metrics.inc("provenance_edges_total", amount=rerequested,
@@ -275,63 +290,102 @@ class ProvenanceLedger:
     # ------------------------------------------------------------------
     # Ledger mutations
     # ------------------------------------------------------------------
-    def _create(self, artifact_id: str, cls: str, now: float) -> None:
-        if artifact_id in self._artifacts:
-            if cls != "file":
-                self._anomaly(f"duplicate create for {artifact_id}")
-            return
-        self._artifacts[artifact_id] = _Artifact(artifact_id, cls, now)
-        self._edge("created", cls)
+    def _create(self, keys: Iterable[Hashable], cls: str, now: float) -> None:
+        """Register a batch of artifacts born at ``now``: one counter bump."""
+        artifacts = self._artifacts
+        created = 0
+        for key in keys:
+            if key in artifacts:
+                if cls != "file":
+                    self._anomaly(f"duplicate create for {_name(key)}")
+                continue
+            artifacts[key] = _Artifact(cls, now)
+            created += 1
+        if created:
+            self._edge("created", cls, created)
 
-    def _advance(self, artifact_id: str, stage: str, now: float,
-                 cascade: bool = False) -> None:
-        artifact = self._artifacts.get(artifact_id)
+    def _advance(self, keys: Iterable[Hashable], stage: str, now: float) -> int:
+        """Move a batch of artifacts forward to ``stage``; returns how many moved.
+
+        Each run of artifacts sharing a class and a latency costs one edge
+        counter bump and one histogram bucket search.  Runs follow the
+        batch order, so every histogram sum still adds its samples one by
+        one in per-artifact order.  An edge that is not a plain forward
+        move goes to :meth:`_refuse`, which never observes a latency.
+        """
+        artifacts = self._artifacts
+        forward = _FORWARD_FROM[stage]
+        moved = 0
+        run_cls = ""
+        run_latency = None
+        run_length = 0
+        for key in keys:
+            artifact = artifacts.get(key)
+            if (artifact is None or artifact.lost_cause is not None
+                    or artifact.stage not in forward):
+                self._refuse(key, artifact, stage)
+                continue
+            cls = artifact.cls
+            latency = now - artifact.stage_time
+            if latency != run_latency or cls != run_cls:
+                if run_length:
+                    self._moved(stage, run_cls, run_latency, run_length)
+                    moved += run_length
+                run_cls = cls
+                run_latency = latency
+                run_length = 0
+            run_length += 1
+            artifact.stage = stage
+            artifact.stage_time = now
+        if run_length:
+            self._moved(stage, run_cls, run_latency, run_length)
+        return moved + run_length
+
+    def _refuse(self, key: Hashable, artifact: Optional[_Artifact],
+                stage: str) -> None:
+        """An edge that does not move ``key`` forward.
+
+        It is an anomaly, a counted re-transfer, or an ignored repeat.
+        """
         if artifact is None:
             # A trace record referenced data the ledger never saw created
             # (possible in unit rigs exercising one subsystem in isolation).
-            self._anomaly(f"{stage} edge for unknown artifact {artifact_id}")
-            return
-        if artifact.lost_cause is not None:
-            self._anomaly(f"{stage} edge for lost artifact {artifact_id}")
-            return
-        rank = _RANK[stage]
-        prior = _RANK[artifact.stage]
-        if stage == "archived":
-            if artifact.archived:
-                self._anomaly(f"duplicate archive of {artifact_id}")
-                return
-            artifact.archived = True
-        elif rank < prior or (rank == prior and stage != "transferred"):
-            # Re-transfer after a failed ingest is idempotent; everything
-            # else repeating or regressing means the edge feed is broken.
-            if rank < prior:
-                if stage == "transferred" and artifact.archived:
-                    # The station's post-upload delete failed, so it sent a
-                    # file the server already archived: data is safe, the
-                    # airtime was wasted.  Counted, not an anomaly.
-                    self.metrics.inc("provenance_edges_total",
-                                     stage="retransferred", cls=artifact.cls)
-                    return
+            self._anomaly(f"{stage} edge for unknown artifact {_name(key)}")
+        elif artifact.lost_cause is not None:
+            self._anomaly(f"{stage} edge for lost artifact {_name(key)}")
+        elif stage == "archived":
+            self._anomaly(f"duplicate archive of {_name(key)}")
+        elif _RANK[stage] < _RANK[artifact.stage]:
+            # Re-transfer after a failed ingest is idempotent (a forward
+            # edge); everything else repeating or regressing means the
+            # edge feed is broken.
+            if stage == "transferred" and artifact.stage == "archived":
+                # The station's post-upload delete failed, so it sent a
+                # file the server already archived: data is safe, the
+                # airtime was wasted.  Counted, not an anomaly.
+                self.metrics.inc("provenance_edges_total",
+                                 stage="retransferred", cls=artifact.cls)
+            else:
                 self._anomaly(
-                    f"backwards edge {artifact.stage}->{stage} for {artifact_id}")
-            return
-        self._latency(artifact, stage, now)
-        artifact.stage = stage
-        artifact.stage_time = now
-        self._edge(stage, artifact.cls)
-        if cascade:
-            for child_id in self._children.get(artifact_id, ()):
-                child = self._artifacts.get(child_id)
-                # Cascade only to children still riding *this* copy — a
-                # reading re-fetched into a newer file belongs to that one.
-                if child is not None and child.container == artifact_id:
-                    self._advance(child_id, stage, now)
+                    f"backwards edge {artifact.stage}->{stage} for {_name(key)}")
 
-    def _lose(self, artifact_id: str, cause: str, now: float) -> None:
+    def _cascade(self, file_id: str, stage: str, now: float) -> None:
+        """Advance a file and, if it moved, the children riding it."""
+        if not self._advance((file_id,), stage, now):
+            return
+        artifacts = self._artifacts
+        # Cascade only to children still riding *this* copy — a reading
+        # re-fetched into a newer file belongs to that one.
+        self._advance([child_id for child_id in self._children.get(file_id, ())
+                       if (child := artifacts.get(child_id)) is not None
+                       and child.container == file_id],
+                      stage, now)
+
+    def _lose(self, artifact_id: Hashable, cause: str, now: float) -> None:
         artifact = self._artifacts.get(artifact_id)
         if artifact is None or artifact.lost_cause is not None:
             return
-        if artifact.archived:
+        if artifact.stage == "archived":
             # The server already has it; destroying the local copy is not
             # data loss.
             return
@@ -343,22 +397,24 @@ class ProvenanceLedger:
             if child is not None and child.container == artifact_id:
                 self._lose(child_id, cause, now)
 
-    def _edge(self, stage: str, cls: str) -> None:
+    def _edge(self, stage: str, cls: str, count: int = 1) -> None:
         counter = self._edge_counters.get((stage, cls))
         if counter is None:
             counter = self.metrics.counter("provenance_edges_total",
                                            stage=stage, cls=cls)
             self._edge_counters[(stage, cls)] = counter
-        counter.inc()
+        counter.inc(count)
 
-    def _latency(self, artifact: _Artifact, stage: str, now: float) -> None:
-        hist = self._latency_hists.get((stage, artifact.cls))
+    def _moved(self, stage: str, cls: str, latency: float, count: int) -> None:
+        """``count`` artifacts of one class reached ``stage`` after ``latency``."""
+        self._edge(stage, cls, count)
+        hist = self._latency_hists.get((stage, cls))
         if hist is None:
             hist = self.metrics.histogram("provenance_stage_latency_seconds",
                                           buckets=LATENCY_BUCKETS,
-                                          stage=stage, cls=artifact.cls)
-            self._latency_hists[(stage, artifact.cls)] = hist
-        hist.observe(now - artifact.stage_time)
+                                          stage=stage, cls=cls)
+            self._latency_hists[(stage, cls)] = hist
+        hist.observe(latency, count)
 
     def _anomaly(self, message: str) -> None:
         self._anomalies.append(message)
@@ -380,19 +436,19 @@ class ProvenanceLedger:
         archived = in_flight = lost = 0
         lost_by_cause: Dict[str, int] = {}
         by_class: Dict[str, Dict[str, int]] = {}
-        for artifact in self._artifacts.values():
-            stages = by_class.setdefault(artifact.cls, {})
-            if artifact.lost_cause is not None:
-                lost += 1
-                lost_by_cause[artifact.lost_cause] = (
-                    lost_by_cause.get(artifact.lost_cause, 0) + 1)
-                stages["lost"] = stages.get("lost", 0) + 1
-            elif artifact.archived:
-                archived += 1
-                stages["archived"] = stages.get("archived", 0) + 1
+        tally = Counter((artifact.cls, artifact.lost_cause, artifact.stage)
+                        for artifact in self._artifacts.values())
+        for (cls, cause, stage), count in tally.items():
+            if cause is not None:
+                lost += count
+                lost_by_cause[cause] = lost_by_cause.get(cause, 0) + count
+                stage = "lost"
+            elif stage == "archived":
+                archived += count
             else:
-                in_flight += 1
-                stages[artifact.stage] = stages.get(artifact.stage, 0) + 1
+                in_flight += count
+            stages = by_class.setdefault(cls, {})
+            stages[stage] = stages.get(stage, 0) + count
         report = ConservationReport(
             created, archived, in_flight, lost, lost_by_cause, by_class,
             list(self._anomalies))

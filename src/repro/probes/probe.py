@@ -11,7 +11,7 @@ subsequent days" (Section V).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.probes.reliability import sample_lifetime_days
 from repro.protocol.framing import Reading, TaskSnapshot
@@ -76,7 +76,9 @@ class Probe:
             rng = sim.rng.stream(f"probe.{probe_id}.lifetime")
             lifetime_days = sample_lifetime_days(rng)
         self.dies_at = sim.now + lifetime_days * DAY
-        self._buffer: List[Reading] = []
+        #: Untasked samples as ``(believed time, channels)`` rows; each
+        #: becomes a :class:`Reading` once, when :meth:`task` numbers it.
+        self._buffer: List[Tuple[float, Dict[str, float]]] = []
         self._active_task: Optional[TaskSnapshot] = None
         self._next_task_id = 1
         self.tasks_completed = 0
@@ -144,10 +146,7 @@ class Probe:
             if not self.is_alive:
                 return
             channels = {sensor.name: sensor.sample(self.sim.now) for sensor in self.sensors}
-            self._buffer.append(
-                Reading(probe_id=self.probe_id, seq=-1, time=self.believed_time(),
-                        channels=channels)
-            )
+            self._buffer.append((self.believed_time(), channels))
             self._readings_taken += 1
 
     def _materialise(self, up_to: float) -> None:
@@ -157,7 +156,9 @@ class Probe:
         pure functions of time and of state that is constant between
         state-observing interactions, so generating them lazily is
         observationally identical to the eager loop — minus one kernel
-        event (and heap churn) per sample.
+        event (and heap churn) per sample.  The due instants form one
+        column, measured with one :meth:`Sensor.sample_many` call per
+        sensor.
 
         Tie convention: a sample due *exactly* at the observation instant
         is included (``t <= up_to``).  In the eager loop that instant is a
@@ -172,31 +173,29 @@ class Probe:
             return
         interval = self._sampling_interval_s
         dies_at = self.dies_at
-        ppm = self.clock_drift_ppm
-        synced_at = self._clock_synced_at
-        error_at_sync = self._clock_error_at_sync
-        buffer = self._buffer
-        probe_id = self.probe_id
-        sensors = self.sensors
-        taken = 0
+        times = []
         while t <= up_to:
             if t >= dies_at:
                 # The eager loop's `if not is_alive: return` — sampling
                 # stops for good at the first wake past death.
-                self._next_sample_at = float("inf")
-                self._readings_taken += taken
-                return
-            # Same float associativity as believed_time()/clock_error_s(),
-            # so stamps are bitwise equal to the eager loop's.
-            believed = t + (error_at_sync + (t - synced_at) * ppm * 1e-6)
-            channels = {sensor.name: sensor.sample(t) for sensor in sensors}
-            buffer.append(
-                Reading(probe_id=probe_id, seq=-1, time=believed, channels=channels)
-            )
-            taken += 1
+                t = float("inf")
+                break
+            times.append(t)
             t += interval
         self._next_sample_at = t
-        self._readings_taken += taken
+        if not times:
+            return
+        self._readings_taken += len(times)
+        ppm = self.clock_drift_ppm
+        synced_at = self._clock_synced_at
+        error_at_sync = self._clock_error_at_sync
+        # Same float associativity as believed_time()/clock_error_s(),
+        # so stamps are bitwise equal to the eager loop's.
+        stamps = [t + (error_at_sync + (t - synced_at) * ppm * 1e-6) for t in times]
+        names = [sensor.name for sensor in self.sensors]
+        columns = [sensor.sample_many(times) for sensor in self.sensors]
+        rows = zip(*columns) if columns else [()] * len(times)
+        self._buffer.extend(zip(stamps, [dict(zip(names, row)) for row in rows]))
 
     @property
     def readings_taken(self) -> int:
@@ -224,9 +223,10 @@ class Probe:
         if self._active_task is None:
             if not self._buffer:
                 return None
+            probe_id = self.probe_id
             readings = [
-                Reading(probe_id=r.probe_id, seq=seq, time=r.time, channels=r.channels)
-                for seq, r in enumerate(self._buffer)
+                Reading(probe_id, seq, time, channels)
+                for seq, (time, channels) in enumerate(self._buffer)
             ]
             self._active_task = TaskSnapshot(task_id=self._next_task_id, readings=readings)
             self._next_task_id += 1

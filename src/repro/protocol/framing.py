@@ -15,7 +15,7 @@ REQUEST_BYTES = 8
 ACK_BYTES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     """One buffered probe measurement.
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.environment.weather import _smooth_noise
+from repro.environment.weather import _smooth_noise_many
 
 
 class Sensor:
@@ -48,20 +48,39 @@ class Sensor:
         self.seed = seed
         self._noise_stream = f"sensor:{name}"
 
+    def signal_many(self, times: Sequence[float]) -> List[float]:
+        """The ground-truth signal over a column of instants.
+
+        Sensors whose environment model has a columnar form override this.
+        """
+        return list(map(self.signal, times))
+
+    def sample_many(self, times: Sequence[float]) -> List[float]:
+        """One measurement per instant in ``times`` (calibrated, noisy, quantised)."""
+        gain = self.gain
+        offset = self.offset
+        truths = self.signal_many(times)
+        noisy = self.noise_std > 0.0
+        noise = _smooth_noise_many(self.seed, self._noise_stream, times) if noisy else truths
+        # Uniform noise with std = noise_std: half-width = std * sqrt(3).
+        half_width = self.noise_std * 1.7320508
+        resolution = self.resolution
+        quantised = resolution > 0.0
+        clipped = self.clip is not None
+        lo, hi = self.clip if clipped else (0.0, 0.0)
+        # One pass, so a column of one costs little more than a scalar
+        # evaluation would (``for x in [expr]`` compiles to an assignment).
+        return [
+            min(hi, max(lo, value)) if clipped else value
+            for truth, u in zip(truths, noise)
+            for raw in [gain * truth + offset + (2.0 * u - 1.0) * half_width if noisy
+                        else gain * truth + offset]
+            for value in [round(raw / resolution) * resolution if quantised else raw]
+        ]
+
     def sample(self, time: float) -> float:
         """One measurement of the signal at ``time``."""
-        value = self.gain * self.signal(time) + self.offset
-        if self.noise_std > 0.0:
-            # Uniform noise with std = noise_std: half-width = std * sqrt(3).
-            half_width = self.noise_std * 1.7320508
-            noise = (2.0 * _smooth_noise(self.seed, self._noise_stream, time) - 1.0)
-            value += noise * half_width
-        if self.resolution > 0.0:
-            value = round(value / self.resolution) * self.resolution
-        if self.clip is not None:
-            lo, hi = self.clip
-            value = min(hi, max(lo, value))
-        return value
+        return self.sample_many((time,))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Sensor {self.name!r}>"

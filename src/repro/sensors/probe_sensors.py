@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import List
+from typing import List, Sequence
 
 from repro.environment.glacier import GlacierModel
 from repro.environment.weather import _smooth_noise
@@ -27,7 +26,11 @@ class ConductivitySensor(Sensor):
             clip=(0.0, 100.0),
             seed=seed + probe_id,
         )
+        self.glacier = glacier
         self.probe_id = probe_id
+
+    def signal_many(self, times: Sequence[float]) -> List[float]:
+        return self.glacier.conductivity_many(times, self.probe_id)
 
 
 class TiltSensor(Sensor):
@@ -62,12 +65,22 @@ class TiltSensor(Sensor):
         return self._jump_cache[day]
 
     def _tilt(self, time: float) -> float:
-        day = max(0, int(time // DAY))
+        return self.signal_many((time,))[0]
+
+    def signal_many(self, times: Sequence[float]) -> List[float]:
         # Base creep: slow monotone increase, probe-specific rate.
         rate = 0.01 + 0.02 * _smooth_noise(self.seed, f"tiltrate:{self.probe_id}", 0.0)
-        tilt = 5.0 + rate * day
-        # Stick-slip events each contribute a small jump.
-        return tilt + 0.4 * self._cumulative_jumps(day)
+        tilts = []
+        last_day = None
+        jumps = 0
+        for time in times:
+            day = max(0, int(time // DAY))
+            if day != last_day:
+                last_day = day
+                # Stick-slip events each contribute a small jump.
+                jumps = self._cumulative_jumps(day)
+            tilts.append(5.0 + rate * day + 0.4 * jumps)
+        return tilts
 
 
 class PressureSensor(Sensor):
@@ -82,7 +95,11 @@ class PressureSensor(Sensor):
             clip=(0.0, 200.0),
             seed=seed + probe_id,
         )
+        self.glacier = glacier
         self.probe_id = probe_id
+
+    def signal_many(self, times: Sequence[float]) -> List[float]:
+        return self.glacier.water_pressure_many(times)
 
 
 def make_probe_sensor_suite(glacier: GlacierModel, probe_id: int, seed: int = 0) -> List[Sensor]:
