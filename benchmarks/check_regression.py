@@ -18,7 +18,9 @@ values the benchmark recorded in ``benchmark.extra_info`` (e.g. the
 endurance reference ``BENCH_endurance.json`` bounds the adaptive bus's
 sync count).  Counter bounds are absolute — simulation counters are
 deterministic for a pinned seed, so no noise tolerance applies; the
-pinned bounds themselves carry the headroom.
+pinned bounds themselves carry the headroom.  ``baseline_min_ms`` and
+``baseline_counters`` record a retired engine's last measurement for
+reference and are not gated.
 
 Exit codes: 0 ok, 1 regression(s), 2 bad input.
 """

@@ -49,18 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the base station's solar rating")
         p.add_argument("--override", type=int, default=None, choices=(0, 1, 2, 3),
                        help="server-side manual power-state override")
-        p.add_argument("--energy-mode", choices=("fixed", "adaptive"),
-                       default="adaptive",
-                       help="power-bus integrator: event-driven 'adaptive' "
-                            "(default) or the original fixed-step sampler")
-        p.add_argument("--comms-mode", choices=("chunked", "exact"),
-                       default="exact",
-                       help="comms transfer engine: single inverse-CDF "
-                            "drop-time sample 'exact' (default) or the "
-                            "original per-chunk Bernoulli loop")
-        p.add_argument("--energy-step-s", type=float, default=None,
-                       help="fixed-mode sampling step / adaptive planning "
-                            "grid, seconds (default: 300)")
         p.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write metrics after the run (.json = JSON dump, "
                             "anything else = Prometheus text)")
@@ -284,11 +272,6 @@ def _build_deployment(args, check_invariants: bool = False) -> Deployment:
         base.solar_w = args.solar_w
     if getattr(args, "batched_sync", False):
         base.batched_sync = True
-    for config in (base, reference):
-        config.energy_mode = getattr(args, "energy_mode", "adaptive")
-        config.comms_mode = getattr(args, "comms_mode", "exact")
-        if getattr(args, "energy_step_s", None) is not None:
-            config.energy_step_s = args.energy_step_s
     deployment = Deployment(DeploymentConfig(seed=args.seed, base=base,
                                              reference=reference,
                                              fault_plan=_load_fault_plan(args),

@@ -6,7 +6,7 @@ PPP link through the reference station, while the final Iceland design
 gives each station its own GPRS modem.  This package models:
 
 - :mod:`repro.comms.link` — the common modem machinery: power-switched
-  loads, connection state, chunked transfers with failure hazards;
+  loads, connection state, transfers with drop hazards;
 - :mod:`repro.comms.gprs` — the GPRS modem (5000 bps, 2640 mW, per-MB
   billing, day-scale outages);
 - :mod:`repro.comms.radio` — the long-range radio modem (2000 bps,

@@ -32,13 +32,10 @@ class GprsModem(Modem):
     melt_fraction_fn:
         Optional seasonal signal (``glacier.melt_fraction``) used to blend
         the two outage rates.
-    mode:
-        Transfer engine (``"exact"`` default / ``"chunked"`` oracle); see
-        :class:`~repro.comms.link.Modem`.
     """
 
     #: The mid-session drop hazard is time-independent (outages gate
-    #: *connecting*, not in-flight sessions), so the exact engine inverts
+    #: *connecting*, not in-flight sessions), so the drop sampler inverts
     #: the drop CDF in closed form instead of walking the chunk grid.
     hazard_constant = True
 
@@ -53,9 +50,8 @@ class GprsModem(Modem):
         cost_per_mb: float = 5.0,
         melt_fraction_fn=None,
         seed: int = 0,
-        mode: str = "exact",
     ) -> None:
-        super().__init__(sim, bus, name, GPRS_MODEM, connect_s=45.0, mode=mode)
+        super().__init__(sim, bus, name, GPRS_MODEM, connect_s=45.0)
         self.outage_probability = outage_probability
         self.summer_outage_probability = summer_outage_probability
         self._drop_hazard = drop_hazard

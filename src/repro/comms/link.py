@@ -6,23 +6,15 @@ life-cycle.  The failure model is a piecewise-constant hazard sampled on a
 time and energy automatically scale with the Table I rate and power
 figures.
 
-Two transfer engines implement that model:
-
-**chunked** (the original, kept as the A/B oracle) — one kernel timeout
-per chunk; at each chunk boundary the link draws a Bernoulli against
-``1 - (1 - hazard)**step``.  A year of daily 1 MB uploads at 5000 bps is
-~20k kernel events of pure polling.
-
-**exact** (default) — a single inverse-CDF draw picks the drop chunk up
-front: one uniform ``u``, then a pure-math walk over the same chunk grid
-accumulating log-survival ``step * log1p(-hazard)`` until it crosses
-``log(u)``.  Exactly one timeout is scheduled, at ``min(drop_time,
-transfer_time)``.  The per-chunk drop probabilities are identical —
-``P(drop at chunk i) = prod_{j<i} s_j - prod_{j<=i} s_j`` either way — so
-the two engines are *distributionally* equivalent (the equivalence suite
-in ``tests/comms/test_exact_equivalence.py`` pins this); they are not
-bitwise equivalent because the chunked engine burns one uniform per
-surviving chunk.
+A chunk ``i`` (length ``step_i``, hazard ``h_i`` evaluated at the chunk's
+end) survives with probability ``s_i = (1 - h_i)**step_i``.  Rather than
+polling the hazard once per chunk, a single inverse-CDF draw picks the
+drop chunk up front: one uniform ``u``, then a pure-math walk over the
+chunk grid accumulating log-survival ``step * log1p(-hazard)`` until it
+crosses ``log(u)``.  Exactly one timeout is scheduled, at
+``min(drop_time, transfer_time)``, and the drop chunk follows
+``P(drop at chunk i) = prod_{j<i} s_j - prod_{j<=i} s_j`` (the suite in
+``tests/comms/test_exact_equivalence.py`` checks this law).
 """
 
 from __future__ import annotations
@@ -33,9 +25,6 @@ from typing import Optional
 from repro.energy.bus import PowerBus
 from repro.energy.components import DeviceSpec
 from repro.sim.kernel import Simulation
-
-#: Transfer engine names accepted by :class:`Modem` (and the CLI flag).
-COMMS_MODES = ("chunked", "exact")
 
 
 class LinkDown(Exception):
@@ -55,15 +44,12 @@ class Modem:
     connect_s:
         Time from power-on to a usable session.
     chunk_s:
-        Hazard-grid resolution: the chunked engine yields one timeout per
-        chunk, the exact engine evaluates the hazard at the same chunk
+        Hazard-grid resolution: the hazard is evaluated at chunk
         boundaries without scheduling them.  Must be positive.
-    mode:
-        Transfer engine, ``"exact"`` (default) or ``"chunked"``.
     """
 
     #: Subclasses whose :meth:`drop_hazard_per_s` ignores ``time`` set this
-    #: True so the exact engine can use the closed-form constant-hazard
+    #: True so the drop sampler can use the closed-form constant-hazard
     #: inversion instead of walking the chunk grid.
     hazard_constant = False
 
@@ -75,7 +61,6 @@ class Modem:
         spec: DeviceSpec,
         connect_s: float = 30.0,
         chunk_s: float = 30.0,
-        mode: str = "exact",
     ) -> None:
         if spec.transfer_rate_bps is None:
             raise ValueError(f"{spec.name} has no transfer rate; not a modem")
@@ -84,17 +69,12 @@ class Modem:
                 f"{name}: chunk_s must be positive, got {chunk_s!r} "
                 "(a non-positive chunk would stall or reverse the transfer loop)"
             )
-        if mode not in COMMS_MODES:
-            raise ValueError(
-                f"{name}: mode must be one of {COMMS_MODES}, got {mode!r}"
-            )
         self.sim = sim
         self.bus = bus
         self.name = name
         self.spec = spec
         self.connect_s = connect_s
         self.chunk_s = chunk_s
-        self.mode = mode
         self.load = bus.add_load(name, spec.power_w)
         self.connected = False
         self.bytes_sent_total = 0
@@ -160,16 +140,16 @@ class Modem:
         return nbytes * 8.0 / self.spec.transfer_rate_bps
 
     # ------------------------------------------------------------------
-    # Drop-time sampling (exact engine)
+    # Drop-time sampling
     # ------------------------------------------------------------------
     def _sample_drop_delay(self, total_s: float) -> Optional[float]:
         """One inverse-CDF draw of the drop instant, or None for survival.
 
-        The chunked engine survives chunk ``i`` (length ``step_i``, hazard
-        evaluated at the chunk's *end* time) with probability
-        ``s_i = (1 - h_i)**step_i``.  Drawing a single uniform ``u`` and
-        dropping at the end of the first chunk where the running survival
-        product falls below ``u`` reproduces that distribution exactly:
+        Chunk ``i`` (length ``step_i``, hazard evaluated at the chunk's
+        *end* time) survives with probability ``s_i = (1 - h_i)**step_i``.
+        Drawing a single uniform ``u`` and dropping at the end of the first
+        chunk where the running survival product falls below ``u`` gives
+        exactly that per-chunk law:
         ``P(drop at chunk i) = prod_{j<i} s_j - prod_{j<=i} s_j``.  The
         walk is pure float math in log space (``step * log1p(-h)``) — no
         kernel events, no extra RNG draws.
@@ -178,7 +158,7 @@ class Modem:
         regardless of chunk boundaries, so subclasses with
         ``hazard_constant = True`` skip the walk: the crossing point is
         ``log(u) / log1p(-h)`` seconds, rounded up to the next chunk
-        boundary (drops are *detected* at boundaries in both engines).
+        boundary (drops are *detected* at chunk boundaries).
         """
         self._m_exact_draws.inc()
         u = self._drop_rng.random()
@@ -223,48 +203,21 @@ class Modem:
         within the payload is intentionally *not* reported — like the
         deployed system's scp, a dropped file must be resent in full.
 
-        In ``exact`` mode the whole transfer is one kernel timeout at
-        ``min(drop_time, transfer_time)``; in ``chunked`` mode it is one
-        timeout (and one hazard draw) per ``chunk_s``.
+        The whole transfer is one kernel timeout at ``min(drop_time,
+        transfer_time)``.
         """
         if not self.connected:
             raise LinkDown(f"{self.name}: not connected")
         total_s = self.transfer_time_s(nbytes)
-        if self.mode == "chunked":
-            yield from self._send_chunked(total_s, label)
-        else:
-            yield from self._send_exact(total_s, label)
+        drop_after = self._sample_drop_delay(total_s)
+        if drop_after is not None:
+            yield self.sim.timeout(drop_after)
+            self._record_drop(label)
+        if total_s > 0.0:
+            yield self.sim.timeout(total_s)
         self.bytes_sent_total += nbytes
         self._m_sent.inc(nbytes)
         self.sim.trace.emit(self.name, "sent", nbytes=nbytes, label=label)
-
-    def _send_exact(self, total_s: float, label: str):
-        """One timeout at ``min(drop_time, transfer_time)``."""
-        drop_after = self._sample_drop_delay(total_s)
-        if drop_after is None:
-            if total_s > 0.0:
-                yield self.sim.timeout(total_s)
-            return
-        yield self.sim.timeout(drop_after)
-        self._record_drop(label)
-
-    def _send_chunked(self, total_s: float, label: str):
-        """The original per-chunk Bernoulli loop (the A/B oracle).
-
-        The per-iteration ``timeout(chunk)`` + RNG draw shape is exactly
-        what the ``no-polling-loop`` lint rule flags elsewhere; this loop
-        is the sanctioned oracle the exact engine is validated against.
-        """
-        remaining_s = total_s
-        rng = self._drop_rng
-        chunk = self.chunk_s
-        while remaining_s > 0:
-            step = min(chunk, remaining_s)
-            yield self.sim.timeout(step)
-            remaining_s -= step
-            hazard = self.drop_hazard_per_s(self.sim.now)
-            if hazard > 0 and rng.random() < 1.0 - (1.0 - hazard) ** step:
-                self._record_drop(label)
 
     def _record_drop(self, label: str):
         self.connected = False

@@ -62,10 +62,7 @@ class ProbeRadioLink:
         turnaround_s: float = 0.05,
         corruption_probability: float = 0.0,
         seed_stream: Optional[str] = None,
-        mode: str = "exact",
     ) -> None:
-        if mode not in ("chunked", "exact"):
-            raise ValueError(f"{name}: mode must be 'chunked' or 'exact', got {mode!r}")
         self.sim = sim
         self.loss_fn = loss_fn
         self.name = name
@@ -74,10 +71,6 @@ class ProbeRadioLink:
         self.turnaround_s = turnaround_s
         #: Probability that a packet arrives with an uncorrectable error.
         self.corruption_probability = corruption_probability
-        #: ``"exact"`` collapses a back-to-back packet burst into one kernel
-        #: timeout (:meth:`transmit_sequence`); ``"chunked"`` yields one
-        #: timeout per packet.  Outcomes are bitwise identical either way.
-        self.mode = mode
         self._rng = sim.rng.stream(seed_stream or f"{name}.loss")
         self.packets_sent = 0
         self.packets_lost = 0
@@ -113,10 +106,10 @@ class ProbeRadioLink:
     def _draw_outcome(self, at_time: float) -> PacketOutcome:
         """Roll one packet's fate as of its arrival instant ``at_time``.
 
-        Factored out of :meth:`transmit_detailed` so the exact burst path
-        can draw the *same* RNG rolls against the *same* loss probability
+        Factored out of :meth:`transmit_detailed` so the burst path can
+        draw the *same* RNG rolls against the *same* loss probability
         (``loss_fn`` is a pure function of time) without a kernel event
-        per packet — outcomes are bitwise identical between modes.
+        per packet.
         """
         self.packets_sent += 1
         if self._rng.random() < self.loss_fn(at_time):
@@ -140,24 +133,16 @@ class ProbeRadioLink:
         caller looping over :meth:`transmit` would make), so a short list
         means the deadline cut the burst.
 
-        In ``exact`` mode the whole burst costs one kernel timeout: packet
-        ``i``'s fate is rolled at its arrival instant ``start + (i+1) *
-        packet_time`` with the identical RNG draws the per-packet loop
+        The whole burst costs one kernel timeout: packet ``i``'s fate is
+        rolled at its arrival instant ``start + (i+1) * packet_time`` with
+        the identical RNG draws a loop over :meth:`transmit_detailed`
         would make, so outcomes and link statistics are bitwise equal to
-        ``chunked`` mode — only the event count differs (the protocol
-        layer's 3000-reading stream collapses from 3000 events to
+        that loop — only the event count differs (the protocol layer's
+        3000-reading stream collapses from 3000 events to
         ``ceil(3000/burst)``).  The burst's completion instant can differ
         from the per-packet loop by float-rounding ulps (one summed
         timeout vs repeated additions).
         """
-        if self.mode == "chunked":
-            outcomes = []
-            for _ in range(count):
-                if deadline is not None and self.sim.now >= deadline:
-                    break
-                outcome = yield from self.transmit_detailed(payload_bytes)
-                outcomes.append(outcome)
-            return outcomes
         packet_s = self.packet_time_s(payload_bytes)
         start = self.sim.now
         at_time = start

@@ -52,12 +52,11 @@ class RadioModem(Modem):
         name: str = "radio",
         environment: str = "glacier",
         seed: int = 0,
-        mode: str = "exact",
     ) -> None:
         if environment not in ("lab", "glacier"):
             raise ValueError(f"unknown environment {environment!r}")
         super().__init__(sim, bus, name, RADIO_MODEM, connect_s=15.0,
-                         chunk_s=15.0, mode=mode)
+                         chunk_s=15.0)
         self.environment = environment
         self.seed = seed
 

@@ -77,19 +77,6 @@ class StationConfig:
     log_bytes_per_reading: float = 400.0
     #: Fixed daily log overhead, bytes.
     log_base_bytes: int = 4096
-    #: Comms transfer engine: ``"exact"`` (single inverse-CDF drop-time
-    #: sample per transfer, one kernel timeout, default) or ``"chunked"``
-    #: (the original per-chunk Bernoulli loop) — the A/B oracle pair for
-    #: the exact-interval comms layer, mirroring ``energy_mode``.
-    comms_mode: str = "exact"
-    #: Energy integrator: ``"adaptive"`` (event-driven crossing prediction,
-    #: default) or ``"fixed"`` (the original 300 s sampling tick) — kept
-    #: selectable so A/B validation stays one flag away.
-    energy_mode: str = "adaptive"
-    #: Fixed-mode integration step; also the adaptive planner's scan grid.
-    energy_step_s: float = 300.0
-    #: Adaptive mode: longest allowed gap between bus syncs, seconds.
-    energy_max_step_s: float = 21600.0
     #: Fold state upload + override fetch + special drain into one
     #: ``sync_session`` request per contact (the fleet's batched state-sync
     #: endpoint); ``False`` keeps the paper's three separate round-trips.
@@ -119,10 +106,6 @@ class DeploymentConfig:
     probe_ids: Tuple[int, ...] = (20, 21, 22, 23, 24, 25, 26)
     #: Probe measurement period.
     probe_sampling_interval_s: float = 1800.0
-    #: Deferred probe sampling (default): fixed-cadence samples cost zero
-    #: kernel events and are synthesised lazily; ``False`` runs the
-    #: original one-event-per-sample loop — the equivalence oracle.
-    probe_defer_sampling: bool = True
     #: Fixed probe lifetimes in days (None entries draw from the Weibull).
     probe_lifetimes_days: Optional[List[Optional[float]]] = None
     #: Wired-probe lifetime (None = never fails).

@@ -102,7 +102,6 @@ class Deployment:
                 sampling_interval_s=cfg.probe_sampling_interval_s,
                 lifetime_days=lifetime,
                 clock_drift_ppm=cfg.probe_clock_drift_ppm,
-                defer_sampling=cfg.probe_defer_sampling,
             )
             for probe_id, lifetime in zip(cfg.probe_ids, lifetimes)
         ]

@@ -82,9 +82,7 @@ class Station:
 
         # --- power ---
         self.bus = PowerBus(sim, Battery(config.battery, soc=config.initial_soc),
-                            name=f"{name}.power", step_s=config.energy_step_s,
-                            mode=config.energy_mode,
-                            max_step_s=config.energy_max_step_s)
+                            name=f"{name}.power")
         if config.solar_w > 0:
             self.bus.add_source(SolarPanel(weather, rated_w=config.solar_w,
                                            name=f"{name}.solar"))
@@ -132,7 +130,6 @@ class Station:
             summer_outage_probability=config.gprs_summer_outage_probability,
             melt_fraction_fn=glacier.melt_fraction if glacier is not None else None,
             seed=zlib.crc32(name.encode()),
-            mode=config.comms_mode,
         )
         self.sync = StateSynchronizer(sim, name, server, self.modem)
         self.recovery = ScheduleRecovery(
@@ -531,7 +528,6 @@ class BaseStation(Station):
                 sim, loss_fn=glacier.probe_radio_loss,
                 name=f"{self.name}.probe_link.{probe.probe_id}",
                 corruption_probability=probe_corruption_probability,
-                mode=config.comms_mode,
             )
             for probe in probes
         }

@@ -8,21 +8,17 @@ the rest of the system hooks:
   schedule and the RTC resets (Section IV of the paper);
 - **recovery** — external charging has restored enough charge to restart.
 
-Two integration modes:
-
-**fixed** — the original scheme: a background process samples the sources
-every ``step_s`` seconds (right-rectangle integration); load switches
-trigger an exact sub-step integration first, so per-load energy accounting
-is exact for piecewise-constant loads.
-
-**adaptive** (default) — event-driven: between syncs nothing is sampled.
-The planner predicts the next *interesting* instant — the earliest of a
+Integration is event-driven: between syncs nothing is sampled.  The
+planner predicts the next *interesting* instant — the earliest of a
 predicted battery crossing (registered voltage watch, brown-out or
-recovery SoC), or ``max_step_s`` — and sleeps until then.  A load switch
-syncs exactly at the toggle and invalidates the plan.  Interval source
-energy comes from :meth:`~repro.energy.sources.PowerSource.energy_j`
-(analytic for solar, cached quadrature for wind), so skipping a quiet
-six-hour stretch costs one evaluation, not 72 ticks.
+recovery SoC), or :attr:`PowerBus.MAX_STEP_S` — and sleeps until then.
+Per-load energy is booked segment by segment as loads toggle (exact for
+piecewise-constant loads); a toggle wakes the planner only when the new
+load level could reach a brown-out or recovery edge before the pending
+sync.  Interval source energy comes from
+:meth:`~repro.energy.sources.PowerSource.energy_j` (analytic for solar,
+cached quadrature for wind), so skipping a quiet six-hour stretch costs
+one evaluation, not 72 ticks.
 
 Crossing prediction scans the horizon on a coarse grid of interval
 energies, brackets the first side-change of any target observable, and
@@ -30,8 +26,8 @@ bisects to ~1 s.  Predictions are checked when they fire:
 ``energy_crossings_predicted_total`` counts planned crossing syncs and
 ``energy_prediction_misses_total`` the ones where the observable was not
 actually at the threshold (weather gusts move the IR term between plan
-and fire).  ``energy_syncs_total{station,reason}`` counts integrations in
-both modes — the ≥10× event reduction the endurance benchmark pins.
+and fire).  ``energy_syncs_total{station,reason}`` counts integrations —
+the counter the endurance benchmark pins.
 """
 
 from __future__ import annotations
@@ -55,9 +51,9 @@ class VoltageWatch:
 
     The bus emits a ``power_edge`` trace record (and calls ``callback``
     with ``"rising"`` or ``"falling"``) whenever a sync observes the
-    voltage on the other side of ``volts`` from the previous sync.  In
-    adaptive mode the watch is also a planning target: the bus schedules a
-    sync at the predicted crossing instant.
+    voltage on the other side of ``volts`` from the previous sync.  The
+    watch is also a planning target: the bus schedules a sync at the
+    predicted crossing instant.
     """
 
     volts: float
@@ -76,19 +72,18 @@ class PowerBus:
         The station's battery bank.
     name:
         Prefix for trace records (e.g. ``"base.power"``).
-    step_s:
-        Fixed-mode sampling step; also the adaptive planner's scan grid.
-        300 s keeps year-long fixed runs fast while resolving the diurnal
-        solar curve.
-    mode:
-        ``"adaptive"`` (event-driven, default) or ``"fixed"``.
-    max_step_s:
-        Adaptive mode: the longest the bus will sleep without a sync, even
-        with no crossing predicted.  Bounds prediction staleness.
     """
 
-    #: Adaptive planner never reschedules tighter than this (livelock guard).
+    #: Planner never reschedules tighter than this (livelock guard).
     MIN_REPLAN_S = 1.0
+    #: The longest the bus sleeps without a sync, even with no crossing
+    #: predicted.  Bounds prediction staleness.
+    MAX_STEP_S = 21600.0
+    #: Planning scan grid.  The weather's stochastic texture is linearly
+    #: interpolated between 3-hour noise blocks, so nothing in the source
+    #: curve wiggles faster than ~30 minutes; brackets found on this grid
+    #: are bisected afterwards.
+    PLAN_STEP_S = 1800.0
     #: Bisection width at which a predicted crossing is considered located.
     CROSSING_TOLERANCE_S = 1.0
     #: A fired crossing counts as a hit if the observable is within these.
@@ -100,24 +95,12 @@ class PowerBus:
         sim: Simulation,
         battery: Battery,
         name: str = "power",
-        step_s: float = 300.0,
-        mode: str = "adaptive",
-        max_step_s: float = 21600.0,
     ) -> None:
-        if step_s <= 0:
-            raise ValueError("step_s must be > 0")
-        if mode not in ("fixed", "adaptive"):
-            raise ValueError(f"mode must be 'fixed' or 'adaptive', got {mode!r}")
-        if max_step_s <= 0:
-            raise ValueError("max_step_s must be > 0")
         self.sim = sim
         self.battery = battery
         self.name = name
         #: Station label for metrics (``"base.power"`` -> ``"base"``).
         self._station = name.split(".")[0]
-        self.step_s = step_s
-        self.mode = mode
-        self.max_step_s = max_step_s
         self.loads = LoadSet()
         self.sources: List[PowerSource] = []
         self._last_sync = sim.now
@@ -133,11 +116,11 @@ class PowerBus:
         #: wiring; :meth:`add_source` invalidates).
         self._peak_w: Optional[float] = None
         self._peak_w_known = False
-        #: Deferred load accounting (adaptive mode): per-load energy is
-        #: booked segment by segment as loads toggle, so a toggle does not
-        #: force a full integration.  ``_load_j`` is the battery drain
-        #: accumulated since the last sync; ``_acct_time`` the instant the
-        #: books are balanced to.
+        #: Deferred load accounting: per-load energy is booked segment by
+        #: segment as loads toggle, so a toggle does not force a full
+        #: integration.  ``_load_j`` is the battery drain accumulated since
+        #: the last sync; ``_acct_time`` the instant the books are balanced
+        #: to.
         self._acct_time = sim.now
         self._load_j = 0.0
         #: Settled-read support: the instant of the most recent load toggle
@@ -148,12 +131,7 @@ class PowerBus:
         #: happened to dispatch first.
         self._tick_t = -1.0
         self._tick_load_w = 0.0
-        # Planning scan grid: the weather's stochastic texture is linearly
-        # interpolated between 3-hour noise blocks, so nothing in the source
-        # curve wiggles faster than ~30 minutes; scanning coarser than the
-        # integration step is safe because brackets are bisected afterwards.
-        plan_step = max(step_s, 1800.0)
-        self._plan_cells = max(4, min(96, int(round(max_step_s / plan_step))))
+        self._plan_cells = int(round(self.MAX_STEP_S / self.PLAN_STEP_S))
         metrics = sim.obs.metrics
         self._m_soc = metrics.gauge("battery_soc", station=self._station)
         self._m_volts = metrics.gauge("battery_voltage_v", station=self._station)
@@ -162,10 +140,7 @@ class PowerBus:
                                         station=self._station)
         self._m_syncs = {}  # reason -> Counter handle, filled on first use
         self.loads.subscribe(self._on_load_switch)
-        if mode == "fixed":
-            self._process = sim.process(self._run_fixed(), name=f"{name}.integrator")
-        else:
-            self._process = sim.process(self._run_adaptive(), name=f"{name}.integrator")
+        self._process = sim.process(self._run_adaptive(), name=f"{name}.integrator")
 
     # ------------------------------------------------------------------
     # Configuration
@@ -184,11 +159,10 @@ class PowerBus:
                       callback: Optional[Callable[[str], None]] = None) -> VoltageWatch:
         """Subscribe to terminal-voltage crossings of ``volts``.
 
-        Replaces threshold *polling*: in adaptive mode the bus plans a sync
-        at the predicted crossing, so the edge is observed within
+        Replaces threshold *polling*: the bus plans a sync at the
+        predicted crossing, so the edge is observed within
         :attr:`CROSSING_TOLERANCE_S` of the model's true crossing instead
-        of at the next poll.  Works (edge detection only) in fixed mode
-        too, which keeps A/B comparisons symmetrical.
+        of at the next poll.
         """
         watch = VoltageWatch(volts=volts, label=label, callback=callback)
         self._watches.append(watch)
@@ -229,8 +203,7 @@ class PowerBus:
     def terminal_voltage(self, settled: bool = False) -> float:
         """Battery terminal voltage right now — what the MSP430's ADC sees.
 
-        Fixed mode syncs first (a read is a sample point).  Adaptive mode
-        answers *predictively* — state of charge projected from the last
+        Answers *predictively* — state of charge projected from the last
         sync through the interval source energies — so an ADC read does
         not force an integration event.
 
@@ -242,10 +215,6 @@ class PowerBus:
         leave it ``False`` when the caller just toggled a load and wants
         to observe its own effect.
         """
-        if self.mode == "fixed":
-            self.sync(reason="read")
-            load_w = self.settled_load_w() if settled else self.load_power()
-            return self.battery.terminal_voltage(self.source_power() - load_w)
         load_w = self.settled_load_w() if settled else self.load_power()
         net_w = self.source_power() - load_w
         now = self.sim.now
@@ -274,34 +243,22 @@ class PowerBus:
         same-instant calls (e.g. a lump :meth:`drain_j`) are observed.
         """
         now = self.sim.now
-        if self.mode != "fixed":
-            self._account_loads(now)
+        self._account_loads(now)
         dt = now - self._last_sync
         if dt <= 0:
             self._check_edges()
             return
         self._last_sync = now
-        exhausted_before = self.battery.is_exhausted
         load_w = self.loads.total_power()
-        if self.mode == "fixed":
-            source_w = self.source_power(now)
-            self.battery.apply(dt, load_w=load_w, source_w=source_w)
-            for source in self.sources:
-                source.delivered_j += source.power_w(now) * dt
-            inst_net_w = source_w - load_w
-            if not exhausted_before:
-                for load in self.loads:
-                    load.energy_j += load.current_power() * dt
-        else:
-            source_energy = 0.0
-            for source in self.sources:
-                delivered = max(0.0, source.energy_j(now - dt, now))
-                source.delivered_j += delivered
-                source_energy += delivered
-            load_j = self._load_j
-            self._load_j = 0.0
-            self.battery.apply(dt, load_w=load_j / dt, source_w=source_energy / dt)
-            inst_net_w = self.source_power(now) - load_w
+        source_energy = 0.0
+        for source in self.sources:
+            delivered = max(0.0, source.energy_j(now - dt, now))
+            source.delivered_j += delivered
+            source_energy += delivered
+        load_j = self._load_j
+        self._load_j = 0.0
+        self.battery.apply(dt, load_w=load_j / dt, source_w=source_energy / dt)
+        inst_net_w = self.source_power(now) - load_w
         voltage = self.battery.terminal_voltage(inst_net_w)
         self._m_soc.set(self.battery.soc)
         self._m_volts.set(voltage)
@@ -322,8 +279,8 @@ class PowerBus:
         The energy-conservation lint rule points here: draining the battery
         directly between syncs would charge the loss against the wrong
         interval and skip the brown-out edge check.  This integrates up to
-        now, books the withdrawal, re-checks edges and (adaptive mode)
-        invalidates the crossing prediction.
+        now, books the withdrawal, re-checks edges and invalidates the
+        crossing prediction.
         """
         self.sync(reason="read")
         self.battery.drain_j(energy_j)
@@ -331,13 +288,12 @@ class PowerBus:
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop the adaptive planner's prediction and re-plan immediately.
+        """Drop the planner's prediction and re-plan immediately.
 
         Needed whenever the future source/load trajectory changes in a way
         the bus cannot see — a test mutating ``ConstantSource.watts``, a
         rewired availability callable.  Load switches through
         :class:`~repro.energy.loads.LoadSet` invalidate automatically.
-        No-op in fixed mode.
         """
         wake = self._wake
         if wake is not None and not wake.triggered:
@@ -393,17 +349,14 @@ class PowerBus:
         if now != self._tick_t:
             self._tick_t = now
             self._tick_load_w = self.loads.total_power()
-        if self.mode == "fixed":
-            self.sync(reason="load_switch")
-            return
-        # Adaptive: balance the per-load books at the toggle (the subscriber
+        # Balance the per-load books at the toggle (the subscriber
         # fires *before* the switch flips, so the closing segment is booked
         # at the old power) but defer the battery integration.  Only when
         # the new load level could drive a target across its threshold
         # before the already-scheduled deadline does the planner wake — and
         # its wake path syncs at this same instant, exactly like the old
         # sync-per-toggle scheme, so nothing behavioural is lost.
-        self._account_loads(self.sim.now)
+        self._account_loads(now)
         if not self._deadline_safe():
             self.invalidate()
 
@@ -413,9 +366,8 @@ class PowerBus:
         Loads are piecewise constant, so booking each inter-toggle segment
         at its (constant) power is exact; ``_load_j`` carries the summed
         battery drain into the next :meth:`sync`.  Booking is skipped while
-        the battery is exhausted — mirroring the ``exhausted_before`` gate
-        of the fixed path (exhaustion only changes state inside a sync, so
-        the flag is constant across the segment).
+        the battery is exhausted (exhaustion only changes state inside a
+        sync, so the flag is constant across the segment).
         """
         dt = now - self._acct_time
         if dt <= 0:
@@ -516,11 +468,6 @@ class PowerBus:
     # ------------------------------------------------------------------
     # Background processes
     # ------------------------------------------------------------------
-    def _run_fixed(self):
-        while True:
-            yield self.sim.timeout(self.step_s)
-            self.sync(reason="tick")
-
     def _run_adaptive(self):
         sim = self.sim
         while True:
@@ -545,12 +492,12 @@ class PowerBus:
                 self._score_prediction(target)
 
     # ------------------------------------------------------------------
-    # Planning (adaptive mode)
+    # Planning
     # ------------------------------------------------------------------
     def _plan(self) -> Tuple[float, str, Optional[Tuple[str, str, float]]]:
         """Pick the next sync: ``(delay, reason, target-or-None)``.
 
-        Scans the ``max_step_s`` horizon on a ``_plan_cells`` grid,
+        Scans the :attr:`MAX_STEP_S` horizon on a ``_plan_cells`` grid,
         accumulating interval source energy cell by cell (O(1) per cell
         once the weather day caches are warm), projecting SoC and terminal
         voltage, and bracketing the first instant any target observable
@@ -559,7 +506,7 @@ class PowerBus:
         load switch re-plans.
         """
         targets = self._plan_targets()
-        horizon = self.max_step_s
+        horizon = self.MAX_STEP_S
         if not targets:
             return horizon, "max_step", None
         peak_w = self._peak_source_w()

@@ -36,7 +36,6 @@ from repro.fleet.runner import (
     expand_grid,
     run_job,
     run_sweep,
-    run_sweep_legacy,
 )
 
 __all__ = [
@@ -51,6 +50,5 @@ __all__ = [
     "merge_runs",
     "run_job",
     "run_sweep",
-    "run_sweep_legacy",
     "sweep_to_json",
 ]

@@ -33,8 +33,8 @@ class SweepResult:
     back the sweep-scale benchmark's deterministic gates; like the cache
     counters they never enter the sweep JSON.  ``chunks_dispatched``
     counts worker batches; ``parent_folds`` counts parent-side rollup
-    fold operations (per-run in the legacy engine, per-chunk partial
-    merges in the chunked one); ``ipc_payload_bytes`` totals the
+    fold operations (per-chunk partial merges plus per-hit folds of
+    parent-side cache hits); ``ipc_payload_bytes`` totals the
     canonical-JSON size of what actually crossed the worker→parent
     boundary.  ``telemetry`` is a parent-side
     :class:`~repro.obs.metrics.MetricsRegistry` holding the sweep's own

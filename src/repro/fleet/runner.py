@@ -26,7 +26,6 @@ order-independent.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import (
     Any,
     Callable,
@@ -41,7 +40,7 @@ from typing import (
 
 from repro.core.config import DeploymentConfig, StationConfig
 from repro.core.deployment import Deployment
-from repro.fleet.cache import SweepCache, _canonical, config_digest, job_digest
+from repro.fleet.cache import SweepCache, config_digest, job_digest
 from repro.fleet.results import SweepResult
 
 #: Override items as a sorted tuple of pairs — hashable, picklable, and
@@ -433,8 +432,8 @@ def _run_pool(spec: SweepSpec, result: SweepResult, *, jobs: int,
         """Jobs the parent-side cache could not satisfy, lazily.
 
         Hits are loaded and folded right here — one JSON read, strictly
-        cheaper than any pool round-trip, so the chunked engine is never
-        slower than the classic runner when the cache is hot.  Workers
+        cheaper than any pool round-trip, so a hot cache never touches
+        the pool.  Workers
         re-probe misses anyway (shared caches can fill underneath us).
         """
         nonlocal parent_hits
@@ -533,53 +532,3 @@ def _run_shared_dir(spec: SweepSpec, result: SweepResult, *, jobs: int,
         result.telemetry.inc("sweep_worker_cache_hits_total",
                              amount=result.cache_hits, where="parent")
 
-
-def run_sweep_legacy(
-    spec: SweepSpec,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> SweepResult:
-    """The pre-executor engine: one future per job, parent-side cache I/O.
-
-    Kept as the baseline arm of ``benchmarks/test_sweep_scale.py`` — the
-    submit-everything futures dict, full metric snapshots over IPC, and
-    per-run parent folds are exactly the overheads the chunked engine
-    removes, and the A/B quantifies them.  Not wired to the CLI;
-    ``ipc_payload_bytes``/``parent_folds`` accounting mirrors the new
-    engine so the counters compare like for like.
-    """
-    from repro.obs.rollup import RollupAggregate
-
-    all_jobs = spec.jobs()
-    result = SweepResult(rollup=RollupAggregate())
-    pending: List[SweepJob] = []
-    for job in all_jobs:
-        summary = cache.load(job.digest) if cache is not None else None
-        if summary is not None:
-            _absorb(result, job, summary)
-        else:
-            pending.append(job)
-    result.cache_misses = len(pending)
-    result.cache_hits = len(all_jobs) - len(pending)
-
-    if jobs <= 1 or len(pending) <= 1:
-        for job in pending:
-            summary = run_job(job)
-            if cache is not None:
-                cache.store(job.digest, summary)
-            _absorb(result, job, summary)
-        return result
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        futures = {pool.submit(run_job, job): job for job in pending}
-        remaining = set(futures)
-        while remaining:
-            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for future in done:
-                job = futures[future]
-                summary = future.result()
-                result.ipc_payload_bytes += len(_canonical(summary))
-                if cache is not None:
-                    cache.store(job.digest, summary)
-                _absorb(result, job, summary)
-    return result

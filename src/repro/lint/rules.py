@@ -425,8 +425,8 @@ class EnergyConservationRule(Rule):
     ``drain_j`` helper, which syncs around the withdrawal).  A subsystem
     that calls ``battery.apply(...)`` or ``battery.drain_j(...)`` directly
     injects or removes energy the bus never integrated: the books stop
-    balancing, crossing predictions are computed from a state the planner
-    never saw, and fixed-vs-adaptive A/B runs diverge.  Route every
+    balancing, and crossing predictions are computed from a state the
+    planner never saw.  Route every
     withdrawal through ``PowerBus.drain_j`` and every flow through a
     registered source or load.
     """
@@ -535,16 +535,14 @@ class NoPollingLoopRule(Rule):
     failure land?".  The drop instant can be drawn *once* up front by
     inverse-CDF (see ``Modem._sample_drop_delay`` and
     docs/performance.md) and the loop replaced with a single timeout.
-    Two sanctioned exceptions: the chunked engine in ``comms/link.py`` is
-    the A/B oracle the exact engine is validated against, and the antenna
-    damage check in ``environment/damage.py`` runs at day cadence (365
-    events/year — not a hot path) with mutable repair state folded into
-    the loop.
+    One sanctioned exception: the antenna damage check in
+    ``environment/damage.py`` runs at day cadence (365 events/year — not a
+    hot path) with mutable repair state folded into the loop.
     """
 
     id = "no-polling-loop"
     description = "while loop yielding a fixed timeout() with a per-iteration RNG draw — draw the event time once by inverse-CDF"
-    exempt_path_suffixes = ("comms/link.py", "environment/damage.py")
+    exempt_path_suffixes = ("environment/damage.py",)
 
     #: RNG draw methods whose presence marks the loop as a sampler.
     _DRAW_METHODS = frozenset(

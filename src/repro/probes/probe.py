@@ -43,16 +43,14 @@ class Probe:
         off the true timeline — the reason the base station must keep the
         probes synchronised ("The RTC has to be corrected for
         synchronisation with the probes", Section IV).
-    defer_sampling:
-        Deferred materialisation (default): sensors are pure functions of
-        time and the believed-time stamp is linear between clock syncs, so
-        the fixed-cadence sample loop costs **zero kernel events** — the
-        buffer is synthesised retroactively, just before any interaction
-        that observes it (:meth:`task`, :attr:`buffered_count`,
-        :meth:`sync_clock`, an interval change).  ``False`` runs the
-        original one-event-per-sample loop — the equivalence oracle
-        (``tests/probes/test_deferred_sampling.py`` proves reading-level
-        bitwise equality).
+
+    Sampling is deferred: sensors are pure functions of time and the
+    believed-time stamp is linear between clock syncs, so the fixed-cadence
+    sample loop costs **zero kernel events** — the buffer is synthesised
+    retroactively, just before any interaction that observes it
+    (:meth:`task`, :attr:`buffered_count`, :meth:`sync_clock`, an interval
+    change).  ``tests/probes/test_deferred_sampling.py`` checks the
+    readings bitwise against a one-event-per-sample loop.
     """
 
     def __init__(
@@ -63,7 +61,6 @@ class Probe:
         sampling_interval_s: float = 30.0 * MINUTE,
         lifetime_days: Optional[float] = None,
         clock_drift_ppm: float = 0.0,
-        defer_sampling: bool = True,
     ) -> None:
         self.sim = sim
         self.probe_id = probe_id
@@ -83,12 +80,9 @@ class Probe:
         self._next_task_id = 1
         self.tasks_completed = 0
         self._readings_taken = 0
-        self.defer_sampling = defer_sampling
-        #: Next due sample instant (deferred mode bookkeeping; mirrors the
-        #: wake the eager loop would have armed).
+        #: Next due sample instant (the wake a one-event-per-sample loop
+        #: would have armed).
         self._next_sample_at = sim.now + sampling_interval_s
-        if not defer_sampling:
-            sim.process(self._sampler(), name=f"probe.{probe_id}.sampler")
 
     # ------------------------------------------------------------------
     # Life and death
@@ -133,41 +127,29 @@ class Probe:
     @sampling_interval_s.setter
     def sampling_interval_s(self, interval_s: float) -> None:
         # The already-armed next wake keeps the old cadence (exactly what
-        # the eager loop does — its pending timeout is not rescheduled);
+        # a sample loop does — its pending timeout is not rescheduled);
         # samples after it follow the new interval.  Materialise first so
         # no pending sample is synthesised with the new cadence.
         self._materialise(self.sim.now)
         self._sampling_interval_s = interval_s
 
-    def _sampler(self):
-        """The eager one-event-per-sample loop (``defer_sampling=False``)."""
-        while True:
-            yield self.sim.timeout(self._sampling_interval_s)
-            if not self.is_alive:
-                return
-            channels = {sensor.name: sensor.sample(self.sim.now) for sensor in self.sensors}
-            self._buffer.append((self.believed_time(), channels))
-            self._readings_taken += 1
-
     def _materialise(self, up_to: float) -> None:
-        """Synthesise every sample due at or before ``up_to`` (deferred mode).
+        """Synthesise every sample due at or before ``up_to``.
 
         Sample instants, sensor values and believed-time stamps are all
         pure functions of time and of state that is constant between
         state-observing interactions, so generating them lazily is
-        observationally identical to the eager loop — minus one kernel
+        observationally identical to a per-sample loop — minus one kernel
         event (and heap churn) per sample.  The due instants form one
         column, measured with one :meth:`Sensor.sample_many` call per
         sensor.
 
         Tie convention: a sample due *exactly* at the observation instant
-        is included (``t <= up_to``).  In the eager loop that instant is a
-        same-timestamp tie whose order depends on the kernel tie-break
-        policy; deferred mode resolves it deterministically, consistent
-        with ``run(until=T)`` processing events at exactly ``T``.
+        is included (``t <= up_to``).  In a per-sample loop that instant is
+        a same-timestamp tie whose order depends on the kernel tie-break
+        policy; here it is resolved deterministically, consistent with
+        ``run(until=T)`` processing events at exactly ``T``.
         """
-        if not self.defer_sampling:
-            return
         t = self._next_sample_at
         if t > up_to:
             return
@@ -176,8 +158,7 @@ class Probe:
         times = []
         while t <= up_to:
             if t >= dies_at:
-                # The eager loop's `if not is_alive: return` — sampling
-                # stops for good at the first wake past death.
+                # Sampling stops for good at the first wake past death.
                 t = float("inf")
                 break
             times.append(t)
@@ -190,7 +171,7 @@ class Probe:
         synced_at = self._clock_synced_at
         error_at_sync = self._clock_error_at_sync
         # Same float associativity as believed_time()/clock_error_s(),
-        # so stamps are bitwise equal to the eager loop's.
+        # so stamps are bitwise equal to a per-sample believed_time().
         stamps = [t + (error_at_sync + (t - synced_at) * ppm * 1e-6) for t in times]
         names = [sensor.name for sensor in self.sensors]
         columns = [sensor.sample_many(times) for sensor in self.sensors]
@@ -199,7 +180,7 @@ class Probe:
 
     @property
     def readings_taken(self) -> int:
-        """Samples taken so far (materialises pending deferred samples)."""
+        """Samples taken so far (materialises pending samples)."""
         self._materialise(self.sim.now)
         return self._readings_taken
 

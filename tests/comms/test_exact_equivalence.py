@@ -1,20 +1,25 @@
-"""Chunked-vs-exact transfer engine equivalence: the A/B oracle suite.
+"""The modem's drop sampler against its closed-form law; the probe radio's
+burst path against a per-packet loop.
 
-The exact engine replaces the per-chunk Bernoulli loop with one
-inverse-CDF drop-time draw (``Modem._sample_drop_delay``).  The two
-engines burn different numbers of uniforms, so they cannot be bitwise
-equal — the contract is *distributional*: per-chunk drop probabilities
-are identical, so drop fractions and drop-time distributions must agree
-within sampling noise, against the analytic values where a closed form
-exists.  The probe radio's burst path *is* bitwise equal (same draws,
-same order) and is pinned as such.
+``Modem._sample_drop_delay`` draws a transfer's drop instant with one
+inverse-CDF uniform instead of polling the hazard once per chunk.  Chunk
+``i`` (length ``step_i``, hazard ``h_i`` at the chunk's end) survives with
+``s_i = (1 - h_i)**step_i``, so the drop chunk must follow
+
+    P(drop at chunk i) = prod_{j<i} s_j - prod_{j<=i} s_j
+
+(geometric for a constant hazard) and the transfer survives with
+``prod_j s_j``.  The suite checks observed drop-chunk counts against that
+law within sampling noise.  The probe radio's burst path draws the same
+rolls in the same order as a loop over ``transmit_detailed`` and is pinned
+bitwise against one.
 """
 
 import math
 
 import pytest
 
-from repro.comms.link import COMMS_MODES, LinkDown, Modem
+from repro.comms.link import LinkDown, Modem
 from repro.comms.probe_radio import ProbeRadioLink
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
@@ -48,22 +53,26 @@ TEN_CHUNK_BYTES = 187_500
 TRIALS = 600
 
 
-def run_send_trials(modem_cls, mode, trials=TRIALS, nbytes=TEN_CHUNK_BYTES,
-                    seed=17):
-    """``trials`` independent sends; returns (survived, drop_delays, modem)."""
+def run_send_trials(modem_cls, trials=TRIALS, nbytes=TEN_CHUNK_BYTES, seed=17):
+    """``trials`` back-to-back sends.
+
+    Returns ``(starts, drop_delays, modem)``: each send's start instant and
+    its drop delay (``None`` when it survived), in send order.
+    """
     sim = Simulation(seed=seed)
     bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
-    modem = modem_cls(sim, bus, "t.modem", GPRS_MODEM, mode=mode)
-    survived = [0]
+    modem = modem_cls(sim, bus, "t.modem", GPRS_MODEM)
+    starts = []
     drop_delays = []
 
     def driver(sim):
         for _ in range(trials):
             modem.connected = True
             started = sim.now
+            starts.append(started)
             try:
                 yield from modem.send(nbytes)
-                survived[0] += 1
+                drop_delays.append(None)
             except LinkDown:
                 drop_delays.append(sim.now - started)
 
@@ -71,33 +80,85 @@ def run_send_trials(modem_cls, mode, trials=TRIALS, nbytes=TEN_CHUNK_BYTES,
     # The power bus keeps housekeeping events alive forever; a generous
     # horizon (600 trials x 300 s airtime) bounds the run instead.
     sim.run(until=trials * 400.0 + 10_000.0)
-    return survived[0], drop_delays, modem
+    return starts, drop_delays, modem
+
+
+def drop_chunk_pmf(modem, start, total_s):
+    """Closed-form law of one transfer: ``(pmf, chunk_ends)``.
+
+    ``pmf[i]`` is the probability of dropping at the end of chunk ``i``
+    and the final entry the probability of surviving the whole transfer.
+    """
+    pmf, ends = [], []
+    survival = 1.0
+    elapsed = 0.0
+    while elapsed < total_s:
+        step = min(modem.chunk_s, total_s - elapsed)
+        elapsed += step
+        hazard = modem.drop_hazard_per_s(start + elapsed)
+        next_survival = survival * (1.0 - hazard) ** step
+        pmf.append(survival - next_survival)
+        ends.append(elapsed)
+        survival = next_survival
+    pmf.append(survival)
+    return pmf, ends
+
+
+def check_against_pmf(starts, drop_delays, modem, total_s=300.0):
+    """Observed drop-chunk counts against the summed per-transfer law.
+
+    Every category (each chunk, plus survival) must land within 4 sigma
+    of its expectation, and the mean drop delay within one 30 s chunk of
+    the analytic conditional mean.
+    """
+    categories = math.ceil(total_s / modem.chunk_s) + 1
+    expected = [0.0] * categories
+    variance = [0.0] * categories
+    observed = [0] * categories
+    expected_delay_sum = 0.0
+    for start, delay in zip(starts, drop_delays):
+        pmf, ends = drop_chunk_pmf(modem, start, total_s)
+        for index, p in enumerate(pmf):
+            expected[index] += p
+            variance[index] += p * (1.0 - p)
+        expected_delay_sum += sum(p * end for p, end in zip(pmf, ends))
+        if delay is None:
+            observed[-1] += 1
+        else:
+            observed[min(range(len(ends)), key=lambda i: abs(ends[i] - delay))] += 1
+    for index, (obs, exp, var) in enumerate(zip(observed, expected, variance)):
+        assert abs(obs - exp) < 4.0 * math.sqrt(var), (index, obs, exp)
+    drops = [delay for delay in drop_delays if delay is not None]
+    assert drops
+    expected_mean = expected_delay_sum / sum(expected[:-1])
+    assert abs(sum(drops) / len(drops) - expected_mean) < 30.0
+    return expected
 
 
 class TestConstantHazardClosedForm:
-    """The ``hazard_constant`` inversion against the analytic law."""
+    """The ``hazard_constant`` inversion against the geometric law."""
 
     def analytic_survival(self, total_s=300.0):
         return (1.0 - ConstantHazardModem.hazard) ** total_s
 
-    @pytest.mark.parametrize("mode", COMMS_MODES)
-    def test_survival_fraction_matches_analytic(self, mode):
-        survived, _drops, _modem = run_send_trials(ConstantHazardModem, mode)
+    def test_survival_fraction_matches_analytic(self):
+        _starts, drops, _modem = run_send_trials(ConstantHazardModem)
+        survived = drops.count(None)
         p = self.analytic_survival()
         sigma = math.sqrt(p * (1.0 - p) / TRIALS)
         assert abs(survived / TRIALS - p) < 4.0 * sigma
 
     def test_drop_delay_distributions_agree(self):
-        _, drops_chunked, _ = run_send_trials(ConstantHazardModem, "chunked")
-        _, drops_exact, _ = run_send_trials(ConstantHazardModem, "exact")
-        mean_c = sum(drops_chunked) / len(drops_chunked)
-        mean_e = sum(drops_exact) / len(drops_exact)
-        # Conditional drop-time std is < 90 s here; 4 sigma of the
-        # difference of means is well under one 30 s chunk.
-        assert abs(mean_c - mean_e) < 30.0
+        starts, drops, modem = run_send_trials(ConstantHazardModem)
+        expected = check_against_pmf(starts, drops, modem)
+        # The constant-hazard law is geometric in the chunk index.
+        s = (1.0 - ConstantHazardModem.hazard) ** modem.chunk_s
+        for index, total in enumerate(expected[:-1]):
+            assert total == pytest.approx(TRIALS * s ** index * (1.0 - s), rel=1e-9)
 
     def test_exact_drops_land_on_chunk_boundaries(self):
-        _, drops, modem = run_send_trials(ConstantHazardModem, "exact")
+        _, drops, modem = run_send_trials(ConstantHazardModem)
+        drops = [delay for delay in drops if delay is not None]
         assert drops  # h=0.002 over 300 s drops ~45% of transfers
         chunk = modem.chunk_s
         for delay in drops:
@@ -108,51 +169,43 @@ class TestConstantHazardClosedForm:
         """The sharpest slice: P(drop in chunk 1) = 1 - (1-h)**30."""
         p_first = 1.0 - (1.0 - ConstantHazardModem.hazard) ** 30.0
         sigma = math.sqrt(p_first * (1.0 - p_first) / TRIALS)
-        for mode in COMMS_MODES:
-            _, drops, _ = run_send_trials(ConstantHazardModem, mode)
-            first = sum(1 for d in drops if d <= 30.0 + 1e-6)
-            assert abs(first / TRIALS - p_first) < 4.0 * sigma
+        _, drops, _ = run_send_trials(ConstantHazardModem)
+        first = sum(1 for d in drops if d is not None and d <= 30.0 + 1e-6)
+        assert abs(first / TRIALS - p_first) < 4.0 * sigma
 
 
 class TestVariableHazardChunkWalk:
-    """The log-survival walk against the chunked oracle (no closed form)."""
+    """The log-survival walk against the law computed from the hazard."""
 
     def test_drop_fraction_and_delay_agree(self):
-        surv_c, drops_c, _ = run_send_trials(DiurnalHazardModem, "chunked")
-        surv_e, drops_e, _ = run_send_trials(DiurnalHazardModem, "exact")
-        # Two independent estimates of the same drop probability.
-        p = (len(drops_c) + len(drops_e)) / (2.0 * TRIALS)
-        sigma_diff = math.sqrt(2.0 * p * (1.0 - p) / TRIALS)
-        assert abs(len(drops_c) - len(drops_e)) / TRIALS < 4.0 * sigma_diff
-        mean_c = sum(drops_c) / len(drops_c)
-        mean_e = sum(drops_e) / len(drops_e)
-        assert abs(mean_c - mean_e) < 30.0
+        # The survival category is the drop fraction; each trial starts at
+        # a different phase of the hazard, so each has its own law.
+        starts, drops, modem = run_send_trials(DiurnalHazardModem)
+        check_against_pmf(starts, drops, modem)
 
     def test_exact_walk_evaluates_hazard_at_chunk_ends(self):
-        """A hazard spike confined to one chunk must be seen by both engines."""
+        """A hazard spike confined to one chunk must be seen."""
 
         class SpikeModem(Modem):
             def drop_hazard_per_s(self, time):
                 return 1.0 if 60.0 <= time <= 90.0 else 0.0
 
-        for mode in COMMS_MODES:
-            sim = Simulation(seed=3)
-            bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
-            modem = SpikeModem(sim, bus, "t.modem", GPRS_MODEM, mode=mode)
-            dropped_at = []
+        sim = Simulation(seed=3)
+        bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
+        modem = SpikeModem(sim, bus, "t.modem", GPRS_MODEM)
+        dropped_at = []
 
-            def driver(sim):
-                modem.connected = True
-                try:
-                    yield from modem.send(TEN_CHUNK_BYTES)
-                except LinkDown:
-                    dropped_at.append(sim.now)
+        def driver(sim):
+            modem.connected = True
+            try:
+                yield from modem.send(TEN_CHUNK_BYTES)
+            except LinkDown:
+                dropped_at.append(sim.now)
 
-            sim.process(driver(sim))
-            sim.run(until=10_000.0)
-            # Hazard 1.0 first seen at the t=60 chunk end: certain drop,
-            # same instant in both engines.
-            assert dropped_at == [60.0]
+        sim.process(driver(sim))
+        sim.run(until=10_000.0)
+        # Hazard 1.0 first seen at the t=60 chunk end: certain drop there.
+        assert dropped_at == [60.0]
 
 
 class TestEventReduction:
@@ -160,53 +213,64 @@ class TestEventReduction:
 
     def test_exact_send_is_at_least_ten_times_fewer_events(self):
         counts = {}
-        for mode, send in (("chunked", True), ("exact", True), ("idle", False)):
+        for send in (True, False):
             sim = Simulation(seed=11)
             bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
-            modem = ConstantHazardModem(sim, bus, "t.modem", GPRS_MODEM,
-                                        mode=mode if send else "exact")
+            modem = ConstantHazardModem(sim, bus, "t.modem", GPRS_MODEM)
             modem.hazard = 0.0  # survive: count the full transfer's events
 
             def driver(sim):
                 modem.connected = True
-                yield from modem.send(TEN_CHUNK_BYTES * 10)  # 100 chunks
+                yield from modem.send(TEN_CHUNK_BYTES * 10)
 
             if send:
                 sim.process(driver(sim))
             sim.run(until=100_000.0)
-            counts[mode] = sim.events_processed
-        # Housekeeping (bus sync, process starts) is mode-independent;
-        # compare the transfer's own event cost.
-        chunked_cost = counts["chunked"] - counts["idle"]
-        exact_cost = counts["exact"] - counts["idle"]
+            counts[send] = sim.events_processed
+        # Housekeeping (bus sync, process starts) is the same in both runs;
+        # compare the transfer's own event cost with the hazard chunks it
+        # spans (a per-chunk poll would cost one timeout each).
+        chunks = math.ceil(modem.transfer_time_s(TEN_CHUNK_BYTES * 10) / modem.chunk_s)
+        assert chunks == 100
+        exact_cost = counts[True] - counts[False]
         assert 1 <= exact_cost <= 3
-        assert chunked_cost >= 10 * exact_cost
+        assert chunks >= 10 * exact_cost
 
     def test_exact_draws_counter(self):
-        _, _, modem = run_send_trials(ConstantHazardModem, "exact", trials=50)
+        _, _, modem = run_send_trials(ConstantHazardModem, trials=50)
         counter = modem.sim.obs.metrics.counter("comms_exact_draws_total",
                                                 modem="t.modem")
         assert counter.value == 50.0
-        _, _, chunked_modem = run_send_trials(ConstantHazardModem, "chunked",
-                                              trials=50)
-        counter = chunked_modem.sim.obs.metrics.counter(
-            "comms_exact_draws_total", modem="t.modem")
-        assert counter.value == 0.0
 
 
-def run_burst(mode, seed=5, count=400, deadline=None, payload=120):
+def per_packet_loop(link, payload_bytes, count, deadline):
+    """Reference burst: one :meth:`transmit_detailed` (one timeout) per packet."""
+    outcomes = []
+    for _ in range(count):
+        if deadline is not None and link.sim.now >= deadline:
+            break
+        outcome = yield from link.transmit_detailed(payload_bytes)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def run_burst(burst=True, seed=5, count=400, deadline=None, payload=120):
     sim = Simulation(seed=seed)
     link = ProbeRadioLink(
         sim,
-        loss_fn=lambda t: 0.10 + 0.08 * math.sin(t / 50.0),
+        # Loss swings within a few packet times (~0.16 s each), so a roll
+        # taken at the wrong instant changes outcomes.
+        loss_fn=lambda t: 0.10 + 0.08 * math.sin(t / 0.5),
         corruption_probability=0.05,
-        mode=mode,
     )
     out = {}
 
     def driver(sim):
-        outcomes = yield sim.process(
-            link.transmit_sequence(payload, count, deadline))
+        if burst:
+            process = link.transmit_sequence(payload, count, deadline)
+        else:
+            process = per_packet_loop(link, payload, count, deadline)
+        outcomes = yield sim.process(process)
         out["outcomes"] = outcomes
         out["done_at"] = sim.now
 
@@ -221,31 +285,31 @@ class TestProbeRadioBitwise:
     """The burst path draws the identical rolls: bitwise, not statistical."""
 
     def test_burst_outcomes_identical(self):
-        chunked = run_burst("chunked")
-        exact = run_burst("exact")
-        assert chunked["outcomes"] == exact["outcomes"]
-        assert len(exact["outcomes"]) == 400
+        looped = run_burst(burst=False)
+        burst = run_burst()
+        assert looped["outcomes"] == burst["outcomes"]
+        assert len(burst["outcomes"]) == 400
         for field in ("packets_sent", "packets_lost", "packets_broken"):
-            assert getattr(chunked["link"], field) == getattr(exact["link"], field)
+            assert getattr(looped["link"], field) == getattr(burst["link"], field)
         # One summed timeout vs 400 chained ones: equal to float rounding.
-        assert chunked["done_at"] == pytest.approx(exact["done_at"], rel=1e-12)
-        assert chunked["events"] >= 10 * exact["events"]
+        assert looped["done_at"] == pytest.approx(burst["done_at"], rel=1e-12)
+        assert looped["events"] >= 10 * burst["events"]
 
     def test_deadline_cuts_identically(self):
         # packet_time ~= 0.1567 s; a 20 s deadline admits ~128 of 400.
-        chunked = run_burst("chunked", deadline=20.0)
-        exact = run_burst("exact", deadline=20.0)
-        assert 0 < len(exact["outcomes"]) < 400
-        assert chunked["outcomes"] == exact["outcomes"]
+        looped = run_burst(burst=False, deadline=20.0)
+        burst = run_burst(deadline=20.0)
+        assert 0 < len(burst["outcomes"]) < 400
+        assert looped["outcomes"] == burst["outcomes"]
 
     def test_empty_burst_costs_nothing(self):
-        exact = run_burst("exact", count=0)
-        assert exact["outcomes"] == []
-        assert exact["link"].packets_sent == 0
+        burst = run_burst(count=0)
+        assert burst["outcomes"] == []
+        assert burst["link"].packets_sent == 0
 
 
 class TestDeploymentDigests:
-    """Exact mode at deployment level: replayable and tie-order robust."""
+    """The drop sampler at deployment level: replayable and tie-order robust."""
 
     def test_same_seed_replay_is_byte_identical(self):
         from repro.lint.determinism import run_mission
@@ -261,35 +325,8 @@ class TestDeploymentDigests:
         digests = {run.normalized_digest for run in report.runs}
         assert len(digests) == 1
 
-    def test_chunked_oracle_same_normalized_story_shape(self):
-        """Chunked and exact runs of the same seed tell statistically the
-        same mission: equal day count, drop counts within noise."""
-        from repro.core import Deployment, DeploymentConfig
-
-        stats = {}
-        for mode in COMMS_MODES:
-            cfg = DeploymentConfig(seed=4)
-            cfg.base.comms_mode = mode
-            cfg.reference.comms_mode = mode
-            deployment = Deployment(cfg)
-            deployment.run_days(20.0)
-            stats[mode] = (
-                deployment.base.modem.connect_attempts,
-                deployment.base.modem.drops + deployment.reference.modem.drops,
-                deployment.base.modem.bytes_sent_total
-                + deployment.reference.modem.bytes_sent_total,
-            )
-        attempts_c, drops_c, bytes_c = stats["chunked"]
-        attempts_e, drops_e, bytes_e = stats["exact"]
-        # Drop outcomes are distributionally (not per-seed) equal, and a
-        # drop triggers a reconnect, so both counts carry Bernoulli noise.
-        assert abs(attempts_c - attempts_e) <= 6
-        assert abs(drops_c - drops_e) <= 6
-        if bytes_c and bytes_e:
-            assert 0.5 < bytes_c / bytes_e < 2.0
-
     def test_trace_normalization_helper_stable(self):
-        """normalize_tie_order on a real exact-mode trace is idempotent."""
+        """normalize_tie_order on a real mission trace is idempotent."""
         from repro.lint.determinism import build_mission
 
         deployment = build_mission(seed=1)

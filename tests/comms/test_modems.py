@@ -35,8 +35,9 @@ class TestModemBase:
             Modem(sim, bus, "bad", GPRS_MODEM, chunk_s=chunk_s)
 
     def test_unknown_mode_rejected_at_construction(self, sim, bus):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            Modem(sim, bus, "bad", GPRS_MODEM, mode="turbo")
+        # Modems have one transfer engine; a stale ``mode=`` fails loudly.
+        with pytest.raises(TypeError, match="mode"):
+            Modem(sim, bus, "bad", GPRS_MODEM, mode="chunked")
 
     def test_transfer_time_validated_without_assert(self, sim, bus):
         # transfer_time_s used to guard the missing rate with a bare

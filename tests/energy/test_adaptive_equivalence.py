@@ -1,15 +1,16 @@
-"""Property tests: the adaptive integrator agrees with fine fixed-step.
+"""Property tests: the event-driven bus agrees with fine fixed-step.
 
 The event-driven bus replaces tens of thousands of 300 s ticks per
 simulated year with a handful of planned syncs, so its whole claim rests
-on equivalence: against a *finer* fixed-step reference (60 s) it must
+on equivalence: against a fine fixed-step reference (60 s,
+:class:`~tests.energy.fixed_step_bus.FixedStepBus`) it must
 
 - reproduce the daily-average terminal voltage within 1 %, and
 - reproduce the exact *ordering* of behavioural transitions (brown-out /
   recovery edges at bus level, power-state applications at deployment
   level), compared bit-for-bit via a digest over the ordered sequence.
 
-Timestamps are deliberately excluded from the digests: the two modes
+Timestamps are deliberately excluded from the digests: the two integrators
 legitimately observe the same edge at slightly different instants (tick
 granularity vs. bisected crossing), but never in a different order.
 """
@@ -18,13 +19,14 @@ import hashlib
 
 import pytest
 
-from repro.core.config import DeploymentConfig, StationConfig, reference_defaults
+from repro.core.config import DeploymentConfig
 from repro.core.deployment import Deployment
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
 from repro.energy.sources import SolarPanel, WindTurbine
 from repro.environment.weather import IcelandWeather
 from repro.sim import Simulation
+from tests.energy.fixed_step_bus import FixedStepBus
 
 HOUR = 3600.0
 
@@ -33,12 +35,12 @@ SCENARIO_LOADS = (("gps", 3.6), ("modem", 2.0), ("heater", 30.0))
 
 
 def run_scenario(seed: int, mode: str, days: int = 8):
-    """One scripted bus under ``mode``; returns (daily averages, edges)."""
+    """One scripted bus, ``"fixed"`` (60 s reference) or ``"adaptive"``;
+    returns (daily averages, edges)."""
     sim = Simulation(seed=seed)
     weather = IcelandWeather(seed=seed)
-    step = 60.0 if mode == "fixed" else 300.0
-    bus = PowerBus(sim, Battery(soc=0.35), name="prop.power",
-                   step_s=step, mode=mode)
+    bus_cls = FixedStepBus if mode == "fixed" else PowerBus
+    bus = bus_cls(sim, Battery(soc=0.35), name="prop.power")
     bus.add_source(SolarPanel(weather, rated_w=10.0))
     bus.add_source(WindTurbine(weather, rated_w=50.0))
     edges = []
@@ -66,7 +68,7 @@ def run_scenario(seed: int, mode: str, days: int = 8):
     daily = []
 
     def sampler(sim):
-        # Hourly voltage reads at instants shared by both modes.
+        # Hourly voltage reads at instants shared by both integrators.
         while True:
             total = 0.0
             for _ in range(24):
@@ -114,15 +116,6 @@ class TestScriptedBusEquivalence:
         assert total > 0
 
 
-def deployment_config(seed: int, mode: str) -> DeploymentConfig:
-    step = 60.0 if mode == "fixed" else 300.0
-    base = StationConfig(energy_mode=mode, energy_step_s=step)
-    reference = reference_defaults()
-    reference.energy_mode = mode
-    reference.energy_step_s = step
-    return DeploymentConfig(seed=seed, base=base, reference=reference)
-
-
 def transition_digest(dep: Deployment) -> str:
     h = hashlib.sha256()
     for record in dep.sim.trace.records:
@@ -135,10 +128,11 @@ def transition_digest(dep: Deployment) -> str:
 
 
 class TestDeploymentEquivalence:
-    def test_transition_ordering_over_ten_days(self):
-        digests = {}
-        for mode in ("fixed", "adaptive"):
-            dep = Deployment(deployment_config(seed=7, mode=mode))
-            dep.run_days(10)
-            digests[mode] = transition_digest(dep)
-        assert digests["adaptive"] == digests["fixed"]
+    def test_transition_ordering_over_ten_days(self, monkeypatch):
+        adaptive = Deployment(DeploymentConfig(seed=7))
+        adaptive.run_days(10)
+        monkeypatch.setattr("repro.core.station.PowerBus", FixedStepBus)
+        fixed = Deployment(DeploymentConfig(seed=7))
+        fixed.run_days(10)
+        assert isinstance(fixed.base.bus, FixedStepBus)
+        assert transition_digest(adaptive) == transition_digest(fixed)

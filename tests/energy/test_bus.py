@@ -7,6 +7,7 @@ from repro.energy.bus import PowerBus
 from repro.energy.loads import LoadSet
 from repro.energy.sources import ConstantSource
 from repro.sim import Simulation
+from tests.energy.fixed_step_bus import FixedStepBus
 
 
 @pytest.fixture
@@ -14,9 +15,11 @@ def sim():
     return Simulation(seed=3)
 
 
-def make_bus(sim, soc=1.0, step_s=300.0, mode="adaptive"):
-    return PowerBus(sim, Battery(soc=soc), name="test.power",
-                    step_s=step_s, mode=mode)
+def make_bus(sim, soc=1.0, mode="adaptive"):
+    """The event-driven bus, or (``mode="fixed"``) the 300 s tick reference."""
+    if mode == "fixed":
+        return FixedStepBus(sim, Battery(soc=soc), name="test.power", step_s=300.0)
+    return PowerBus(sim, Battery(soc=soc), name="test.power")
 
 
 class TestLoadSet:
@@ -198,7 +201,7 @@ class TestBrownoutRecovery:
 
     def test_recovery_fires_after_recharge(self, sim):
         config = BatteryConfig()
-        bus = PowerBus(sim, Battery(config=config, soc=0.0), name="t", step_s=300.0)
+        bus = PowerBus(sim, Battery(config=config, soc=0.0), name="t")
         bus.add_source(ConstantSource(50.0))
         recoveries = []
         bus.on_recovery.append(lambda: recoveries.append(sim.now))

@@ -49,9 +49,15 @@ class TestExpandGrid:
         assert len(grid) == 4
         assert {"solar_w": 10.0, "wind_w": 50.0} in grid
 
-    def test_unknown_field_rejected_at_job_expansion(self):
-        spec = SweepSpec(grid=[{"not_a_field": 1}], seeds=[0], days=1.0)
-        with pytest.raises(ValueError, match="not_a_field"):
+    # Besides a made-up name: the retired engine knobs.  A stale campaign
+    # that still sets one must fail here, not silently run the default.
+    @pytest.mark.parametrize("field", [
+        "not_a_field", "energy_mode", "comms_mode", "energy_step_s",
+        "energy_max_step_s", "probe_defer_sampling",
+    ])
+    def test_unknown_field_rejected_at_job_expansion(self, field):
+        spec = SweepSpec(grid=[{field: 1}], seeds=[0], days=1.0)
+        with pytest.raises(ValueError, match=field):
             spec.jobs()
 
 

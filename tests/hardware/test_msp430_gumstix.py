@@ -170,7 +170,7 @@ class TestGumstixLifecycle:
 class TestBrownoutLifecycle:
     def make_starving_rig(self):
         sim = Simulation(seed=6)
-        bus = PowerBus(sim, Battery(soc=0.01), name="s.power", step_s=60.0)
+        bus = PowerBus(sim, Battery(soc=0.01), name="s.power")
         msp = Msp430(sim, bus, name="s.msp430")
         gumstix = Gumstix(sim, bus, name="s.gumstix")
         msp.register_action("wake_gumstix", lambda: msp.supervise_gumstix(gumstix))

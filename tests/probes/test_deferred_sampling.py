@@ -1,12 +1,12 @@
 """Deferred-vs-eager probe sampling equivalence.
 
-``defer_sampling=True`` (the default) synthesises fixed-cadence samples
-lazily, costing zero kernel events; ``defer_sampling=False`` is the
-original one-event-per-sample loop, kept as the oracle.  Sensors are pure
-functions of time and the believed-time stamp is linear between clock
-syncs, so the two modes must produce *bitwise identical* readings — this
-suite pins that, including under drift, re-sync, interval changes and
-probe death.
+:class:`~repro.probes.probe.Probe` synthesises fixed-cadence samples
+lazily, costing zero kernel events; the test-only
+:class:`~tests.probes.eager_probe.EagerProbe` runs the one-event-per-sample
+loop and is the oracle.  Sensors are pure functions of time and the
+believed-time stamp is linear between clock syncs, so the two must
+produce *bitwise identical* readings — this suite pins that, including
+under drift, re-sync, interval changes and probe death.
 """
 
 import pytest
@@ -16,16 +16,18 @@ from repro.probes.probe import Probe
 from repro.sensors.probe_sensors import make_probe_sensor_suite
 from repro.sim import Simulation
 from repro.sim.simtime import DAY, HOUR, MINUTE
+from tests.probes.eager_probe import EagerProbe
 
 
 def make_probe(sim, defer, probe_id=21, lifetime_days=1000.0,
                interval=30 * MINUTE, drift_ppm=0.0, seed=19):
     glacier = GlacierModel(seed=seed)
-    return Probe(
+    probe_cls = Probe if defer else EagerProbe
+    return probe_cls(
         sim, probe_id=probe_id,
         sensors=make_probe_sensor_suite(glacier, probe_id),
         sampling_interval_s=interval, lifetime_days=lifetime_days,
-        clock_drift_ppm=drift_ppm, defer_sampling=defer,
+        clock_drift_ppm=drift_ppm,
     )
 
 
@@ -38,7 +40,7 @@ def reading_tuples(probe):
 
 
 def run_pair(script, **probe_kwargs):
-    """Run ``script(sim, probe)`` once per mode; return both probes."""
+    """Run ``script(sim, probe)`` on an eager then a deferred probe."""
     out = []
     for defer in (False, True):
         sim = Simulation(seed=19)
@@ -64,9 +66,11 @@ class TestBitwiseEquality:
         eager, deferred = run_pair(script, drift_ppm=25.0)
         tuples_e, tuples_d = reading_tuples(eager), reading_tuples(deferred)
         assert tuples_e == tuples_d
-        # Drift actually showed up in the stamps (believed != true time).
-        last_time = tuples_e[-1][2]
-        assert last_time != pytest.approx(5 * DAY, abs=1e-6) or True
+        # Drift actually showed up in the stamps (believed != true time):
+        # 240 samples, the last taken at 5 days and stamped
+        # 5 * DAY * (1 + 25 ppm) = 432010.8 s.
+        assert len(tuples_e) == 240
+        assert tuples_e[-1][2] == pytest.approx(5 * DAY * (1 + 25e-6), abs=1e-6)
         assert any(t != s for (_, _, t, _), s in
                    zip(tuples_e, [i * 1800.0 for i in range(1, 241)]))
 

@@ -65,7 +65,7 @@ class TestEnergyConservation:
         sim = Simulation(seed=3)
         config = BatteryConfig(capacity_ah=400.0)  # huge: no clamping
         battery = Battery(config=config, soc=soc)
-        bus = PowerBus(sim, battery, name="p.power", step_s=300.0)
+        bus = PowerBus(sim, battery, name="p.power")
         bus.add_source(ConstantSource(source_w))
         load = bus.add_load("fixed", load_w)
         bus.loads.switch_on("fixed")
