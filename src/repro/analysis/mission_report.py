@@ -210,8 +210,8 @@ def _provenance_section(deployment) -> str:
 
 
 def _alerts_section(deployment) -> str:
-    engine = deployment.alert_engine
-    engine.finish(deployment.sim.now, metrics=deployment.sim.obs.metrics)
+    engine = deployment.sim.obs.alerts
+    engine.finish(deployment.sim.now)
     return "Alerts\n" + "\n".join(
         f"  {line}" for line in engine.format().splitlines())
 
@@ -260,7 +260,7 @@ def mission_report(deployment) -> str:
         _observability_section(deployment),
         _provenance_section(deployment),
     ]
-    if getattr(deployment, "alert_engine", None) is not None:
+    if deployment.sim.obs.alerts is not None:
         sections.append(_alerts_section(deployment))
     sections.append(_incidents_section(deployment))
     return "\n\n".join(sections)

@@ -8,28 +8,129 @@ Usage::
     repro-sim health --days 10
     repro-sim metrics --days 7 --seed 0
     repro-sim simulate --days 2 --metrics-out metrics.prom --spans-out spans.json
+    repro-sim verify --days 45 --seed 42 --faults examples/faults/canonical_chaos.json
     repro-sim sweep --days 7 --seeds 0,1,2,3 --param solar_w=5,10 --jobs 4
     repro-sim sweep --days 7 --seeds 0,1 --rollup-out rollup.json \\
         --alerts examples/alerts/mission_slo.json
     repro-sim rollup shard_a.json shard_b.json --table
-    repro-sim lint src/repro --check-determinism
-    repro-sim races --days 45 --faults examples/faults/canonical_chaos.json
+    repro-sim lint src/repro
 
-(Equivalently ``python -m repro.cli ...``.  ``repro-sim lint`` forwards to
-the ``repro-lint`` static-analysis gate; see :mod:`repro.lint`.)
+Every run command takes the same scenario flags (:func:`add_scenario_args`)
+and builds through :meth:`repro.faults.Scenario.build`; ``verify`` runs the
+same-seed replay, the tie replay and the invariant verdict on that one
+scenario.  (Equivalently ``python -m repro.cli ...``.  ``repro-sim lint``
+forwards to the ``repro-lint`` static-analysis gate; see :mod:`repro.lint`.)
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, NoReturn, Optional, Tuple
 
 from repro.analysis.report import format_table
-from repro.core import Deployment, DeploymentConfig
-from repro.core.config import StationConfig, reference_defaults
+from repro.core import Deployment
+from repro.faults import FaultPlan, Scenario
+from repro.obs.alerts import AlertEngine
 from repro.server.archive import ScienceArchive
-from repro.sim.simtime import DAY
+
+
+def add_scenario_args(parser: argparse.ArgumentParser) -> None:
+    """The flags that describe a :class:`~repro.faults.Scenario`."""
+    parser.add_argument("--days", type=float, default=7.0, help="days to simulate")
+    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    parser.add_argument("--no-wind", action="store_true",
+                        help="disable the base station's wind turbine")
+    parser.add_argument("--solar-w", type=float, default=None,
+                        help="override the base station's solar rating")
+    parser.add_argument("--override", type=int, default=None, choices=(0, 1, 2, 3),
+                        help="server-side manual power-state override")
+    parser.add_argument("--faults", metavar="PLAN.json", default=None,
+                        help="fault plan to arm before the run (JSON; see "
+                             "repro.faults) — same seed + same plan replays "
+                             "byte-identically")
+    parser.add_argument("--alerts", metavar="RULES.json", default=None,
+                        help="declarative alert/SLO rules evaluated against "
+                             "the run (JSON; see docs/telemetry_rollup.md)")
+    parser.add_argument("--stations", type=int, default=None, metavar="N",
+                        help="total station count (>= 2: base + reference + "
+                             "solar-only extras)")
+    parser.add_argument("--servers", type=int, default=None, metavar="N",
+                        help="server fleet size (default 1 = the classic "
+                             "single Southampton server)")
+    parser.add_argument("--server-policy",
+                        choices=("static", "round-robin", "hop"), default=None,
+                        help="station upload-target policy against a multi-"
+                             "server fleet (default: static)")
+    parser.add_argument("--tenant-size", type=int, default=None, metavar="K",
+                        help="group stations into tenants of K for per-tenant "
+                             "override state (default: one global tenant)")
+    parser.add_argument("--batched-sync", action="store_true",
+                        help="stations use the single-request sync_session "
+                             "endpoint (state up + override + specials + "
+                             "load hints in one modem exchange)")
+
+
+def scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """The scenario :func:`add_scenario_args` flags describe.
+
+    Plans and rules are loaded and validated here, once; an input that
+    cannot load exits 2 with a ``repro-sim: cannot load ...`` message.
+    """
+    overrides: dict = {}
+    if args.no_wind:
+        overrides["wind_w"] = 0.0
+    if args.solar_w is not None:
+        overrides["solar_w"] = args.solar_w
+    if args.batched_sync:
+        overrides["batched_sync"] = True
+    if args.stations is not None:
+        overrides["extra_stations"] = _extra_stations(args.stations)
+    for name in ("servers", "server_policy", "tenant_size"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    return Scenario.of(
+        overrides, seed=args.seed, days=args.days,
+        fault_plan=None if args.faults is None else load_fault_plan(args.faults),
+        alert_rules=None if args.alerts is None else load_alert_rules(args.alerts),
+        manual_override=args.override,
+    )
+
+
+def _fail(message: str) -> NoReturn:
+    """Exit 2 with a one-line ``repro-sim:`` message (no traceback)."""
+    print(f"repro-sim: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _extra_stations(stations: int) -> int:
+    """``--stations N`` as an extra-station count; N < 2 exits 2."""
+    if stations < 2:
+        _fail("--stations must be >= 2 (base + reference)")
+    return stations - 2
+
+
+def _load_input(path: str, what: str, validate: Callable[[Any], Any]) -> Any:
+    """Read one JSON scenario input and validate it; exit 2 on failure."""
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        validate(doc)
+    except (OSError, ValueError, TypeError) as exc:
+        _fail(f"cannot load {what} {path}: {exc}")
+    return doc
+
+
+def load_fault_plan(path: str) -> dict:
+    """A validated fault-plan document (see :class:`repro.faults.FaultPlan`)."""
+    return _load_input(path, "fault plan", FaultPlan.from_dict)
+
+
+def load_alert_rules(path: str) -> Any:
+    """A validated alert-rules document (see :mod:`repro.obs.alerts`)."""
+    return _load_input(path, "alert rules", AlertEngine)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,15 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--days", type=float, default=7.0, help="days to simulate")
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-        p.add_argument("--no-wind", action="store_true",
-                       help="disable the base station's wind turbine")
-        p.add_argument("--solar-w", type=float, default=None,
-                       help="override the base station's solar rating")
-        p.add_argument("--override", type=int, default=None, choices=(0, 1, 2, 3),
-                       help="server-side manual power-state override")
+    def run_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        add_scenario_args(p)
         p.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write metrics after the run (.json = JSON dump, "
                             "anything else = Prometheus text)")
@@ -56,71 +151,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write spans after the run (.ndjson = NDJSON, "
                             "anything else = Chrome trace JSON); also enables "
                             "per-event kernel spans")
-        p.add_argument("--self-profile", action="store_true",
-                       help="measure wall-clock time per process and print a "
-                            "hotspot report to stderr (host-dependent; never "
-                            "part of any exported artefact)")
-        p.add_argument("--faults", metavar="PLAN.json", default=None,
-                       help="fault plan to arm before the run (JSON; see "
-                            "repro.faults) — same seed + same plan replays "
-                            "byte-identically")
-        p.add_argument("--alerts", metavar="RULES.json", default=None,
-                       help="declarative alert/SLO rules evaluated against "
-                            "the run (JSON; see docs/telemetry_rollup.md)")
-        fleet_args(p)
+        return p
 
-    def fleet_args(p):
-        p.add_argument("--stations", type=int, default=None, metavar="N",
-                       help="total station count (>= 2: base + reference + "
-                            "solar-only extras)")
-        p.add_argument("--servers", type=int, default=None, metavar="N",
-                       help="server fleet size (default 1 = the classic "
-                            "single Southampton server)")
-        p.add_argument("--server-policy",
-                       choices=("static", "round-robin", "hop"), default=None,
-                       help="station upload-target policy against a multi-"
-                            "server fleet (default: static)")
-        p.add_argument("--tenant-size", type=int, default=None, metavar="K",
-                       help="group stations into tenants of K for per-tenant "
-                            "override state (default: one global tenant)")
-        p.add_argument("--batched-sync", action="store_true",
-                       help="stations use the single-request sync_session "
-                            "endpoint (state up + override + specials + "
-                            "load hints in one modem exchange)")
+    run_command("simulate", "run a deployment and summarise")
+    run_command("science", "run, then print the dGPS/probe products")
+    run_command("health", "run, then print station-health indicators")
+    run_command("report", "run, then print the full mission report")
 
-    simulate = sub.add_parser("simulate", help="run a deployment and summarise")
-    common(simulate)
-
-    science = sub.add_parser("science", help="run, then print the dGPS/probe products")
-    common(science)
-
-    health = sub.add_parser("health", help="run, then print station-health indicators")
-    common(health)
-
-    report = sub.add_parser("report", help="run, then print the full mission report")
-    common(report)
-
-    metrics = sub.add_parser(
-        "metrics", help="run, then print the Prometheus metrics dump")
-    common(metrics)
+    metrics = run_command("metrics", "run, then print the Prometheus metrics dump")
     metrics.add_argument("--format", choices=("prom", "json"), default="prom",
                          help="metrics dump format (default: prom)")
 
-    export = sub.add_parser("export", help="run, then print archive data as CSV/JSON")
-    common(export)
+    export = run_command("export", "run, then print archive data as CSV/JSON")
     export.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format")
     export.add_argument("--what", choices=("velocity", "voltage", "snapshot"),
                         default="velocity", help="which product to export")
 
-    inject = sub.add_parser(
-        "inject",
-        help="run under a fault plan and check the recovery invariants",
-    )
-    common(inject)
-    inject.add_argument("--report-out", metavar="FILE", default=None,
-                        help="also write the invariant report to this file")
-    inject.set_defaults(days=45.0)
+    verify = run_command(
+        "verify",
+        "check one scenario: same-seed replay, fifo vs shuffle:1 tie "
+        "replay, and the fault-invariant/conservation verdict")
+    verify.add_argument("--report-out", metavar="FILE", default=None,
+                        help="also write the report (.json = JSON, anything "
+                             "else = text)")
 
     sweep = sub.add_parser(
         "sweep",
@@ -201,29 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the campaign results table "
                              "(analysis/campaign_table) instead of JSON")
 
-    races = sub.add_parser(
-        "races",
-        help="event-ordering race check: static tie-sensitivity lint plus "
-             "perturbed-tie replay",
-    )
-    races.add_argument("--days", type=float, default=45.0,
-                       help="replay length in simulated days (default: 45)")
-    races.add_argument("--seed", type=int, default=0, help="master seed")
-    races.add_argument("--faults", metavar="PLAN.json", default=None,
-                       help="fault plan to arm in every replay (JSON file)")
-    fleet_args(races)
-    races.add_argument("--policies", default="fifo,shuffle:1",
-                       metavar="P1,P2,...",
-                       help="tie-break policies; the first is the replay "
-                            "baseline (default: %(default)s)")
-    races.add_argument("--paths", nargs="*", default=["src/repro"],
-                       help="paths the static race rules lint "
-                            "(default: src/repro)")
-    races.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format")
-    races.add_argument("--output", metavar="FILE", default=None,
-                       help="write the report here as well as stdout")
-
     lint = sub.add_parser(
         "lint",
         help="run the determinism/correctness static analysis (repro-lint)",
@@ -232,78 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("lint_args", nargs=argparse.REMAINDER,
                       help="arguments forwarded to repro-lint")
     return parser
-
-
-def _load_fault_plan(args) -> Optional[dict]:
-    """The ``--faults`` plan as its dict form, or None."""
-    path = getattr(args, "faults", None)
-    if not path:
-        return None
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _fleet_overrides(args) -> dict:
-    """``--stations/--servers/...`` as DeploymentConfig kwargs."""
-    overrides = {}
-    stations = getattr(args, "stations", None)
-    if stations is not None:
-        if stations < 2:
-            raise SystemExit("repro-sim: --stations must be >= 2 "
-                             "(base + reference)")
-        overrides["extra_stations"] = stations - 2
-    if getattr(args, "servers", None) is not None:
-        overrides["servers"] = args.servers
-    if getattr(args, "server_policy", None) is not None:
-        overrides["server_policy"] = args.server_policy
-    if getattr(args, "tenant_size", None) is not None:
-        overrides["tenant_size"] = args.tenant_size
-    return overrides
-
-
-def _build_deployment(args, check_invariants: bool = False) -> Deployment:
-    base = StationConfig()
-    reference = reference_defaults()
-    if args.no_wind:
-        base.wind_w = 0.0
-    if args.solar_w is not None:
-        base.solar_w = args.solar_w
-    if getattr(args, "batched_sync", False):
-        base.batched_sync = True
-    deployment = Deployment(DeploymentConfig(seed=args.seed, base=base,
-                                             reference=reference,
-                                             fault_plan=_load_fault_plan(args),
-                                             **_fleet_overrides(args)))
-    #: Armed fault engine (None without --faults); ``inject`` reads the
-    #: invariant report off it after the run.
-    deployment.fault_engine = None
-    if deployment.config.fault_plan is not None:
-        from repro.faults import apply_fault_plan
-
-        deployment.fault_engine = apply_fault_plan(
-            deployment, check_invariants=check_invariants)
-    if args.override is not None:
-        deployment.set_manual_override(args.override)
-    #: Armed alert engine (None without --alerts); every command that
-    #: finalises observability also settles and prints its firings.
-    deployment.alert_engine = None
-    if getattr(args, "alerts", None):
-        from repro.obs.alerts import AlertEngine
-
-        try:
-            engine = AlertEngine.from_file(args.alerts,
-                                           metrics=deployment.sim.obs.metrics)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro-sim: cannot load alert rules: {exc}")
-        engine.attach(deployment.sim.trace)
-        deployment.alert_engine = engine
-    if getattr(args, "spans_out", None):
-        deployment.sim.obs.enable_kernel_spans()
-    if getattr(args, "self_profile", False):
-        deployment.sim.obs.enable_self_profile()
-    return deployment
 
 
 def _write_file(path: str, text: str) -> int:
@@ -324,7 +283,7 @@ def _write_file(path: str, text: str) -> int:
 
 
 def _write_observability(deployment: Deployment, args) -> int:
-    """Honour ``--metrics-out`` / ``--spans-out`` / ``--self-profile``.
+    """Honour ``--metrics-out`` / ``--spans-out``.
 
     File format follows the extension: ``.json`` selects the JSON metric
     dump / Chrome trace JSON, ``.ndjson`` selects span NDJSON, anything
@@ -344,38 +303,41 @@ def _write_observability(deployment: Deployment, args) -> int:
 
     obs = deployment.sim.obs
     obs.finalise(deployment.sim)
-    engine = getattr(deployment, "alert_engine", None)
-    if engine is not None:
-        engine.finish(deployment.sim.now)
     code = 0
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         if args.metrics_out.endswith(".json"):
             text = metrics_to_json(obs.metrics)
         else:
             text = metrics_to_prometheus(obs.metrics)
         code = _write_file(args.metrics_out, text) or code
-    if getattr(args, "spans_out", None):
+    if args.spans_out:
         if args.spans_out.endswith(".ndjson"):
             text = spans_to_ndjson(obs.spans)
         else:
             text = spans_to_chrome_trace(obs.spans)
         code = _write_file(args.spans_out, text) or code
-    if getattr(args, "self_profile", False) and obs.profile is not None:
-        print(obs.profile.report(), file=sys.stderr)
     return code
 
 
+def _run(args) -> Tuple[Deployment, int]:
+    """Build the flags' scenario, run it, write exports; (deployment, code)."""
+    scenario = scenario_from_args(args)
+    deployment = scenario.build()
+    if args.spans_out:
+        deployment.sim.obs.enable_kernel_spans()
+    deployment.run_days(scenario.days)
+    return deployment, _write_observability(deployment, args)
+
+
 def _print_alerts(deployment: Deployment) -> None:
-    engine = getattr(deployment, "alert_engine", None)
+    engine = deployment.sim.obs.alerts
     if engine is not None:
         print()
         print(engine.format())
 
 
 def _cmd_simulate(args) -> int:
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+    deployment, code = _run(args)
     rows = []
     for station in deployment.stations:
         rows.append(
@@ -400,9 +362,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_science(args) -> int:
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+    deployment, code = _run(args)
     archive = ScienceArchive(deployment.server)
     velocities = archive.daily_velocity()
     print(format_table(
@@ -427,9 +387,7 @@ def _cmd_science(args) -> int:
 
 
 def _cmd_health(args) -> int:
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+    deployment, code = _run(args)
     archive = ScienceArchive(deployment.server)
     rows = []
     for station in ("base", "reference"):
@@ -456,9 +414,7 @@ def _cmd_health(args) -> int:
 def _cmd_report(args) -> int:
     from repro.analysis.mission_report import mission_report
 
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+    deployment, code = _run(args)
     print(mission_report(deployment))
     return code
 
@@ -466,9 +422,7 @@ def _cmd_report(args) -> int:
 def _cmd_metrics(args) -> int:
     from repro.obs.export import metrics_to_json, metrics_to_prometheus
 
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+    deployment, code = _run(args)
     if args.format == "json":
         print(metrics_to_json(deployment.sim.obs.metrics), end="")
     else:
@@ -476,35 +430,26 @@ def _cmd_metrics(args) -> int:
     return code
 
 
-def _cmd_inject(args) -> int:
-    """Run under a fault plan and verdict the recovery invariants.
+def _cmd_verify(args) -> int:
+    """Replay, tie replay and the invariant verdict on one scenario.
 
-    Without ``--faults`` the canonical chaos scenario runs (every fault
-    kind over 45 days — the CI chaos-smoke configuration).  Exit code is
-    the invariant verdict: 0 iff no violation.
+    Exit 0 iff all three checks pass, 1 when one fails, 2 when an input
+    cannot load or an output cannot be written.
     """
-    from repro.faults import apply_fault_plan, canonical_chaos_plan
+    import json
 
-    deployment = _build_deployment(args, check_invariants=True)
-    if deployment.fault_engine is None:
-        deployment.fault_engine = apply_fault_plan(
-            deployment, canonical_chaos_plan(), check_invariants=True)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
-    report = deployment.fault_engine.finish()
+    from repro.lint.verify import verify
+
+    report = verify(scenario_from_args(args), kernel_spans=bool(args.spans_out))
+    code = _write_observability(report.mission, args)
     text = report.format()
-    conservation = deployment.sim.obs.finalise(deployment.sim)
-    if conservation is not None:
-        text += "\n" + conservation.format()
     print(text)
-    _print_alerts(deployment)
+    _print_alerts(report.mission)
     if args.report_out:
+        if args.report_out.endswith(".json"):
+            text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         code = _write_file(args.report_out, text + "\n") or code
-    if not report.ok:
-        return 1
-    if conservation is not None and not conservation.ok:
-        return 1
-    return code
+    return code if report.ok else 1
 
 
 def _cmd_export(args) -> int:
@@ -514,9 +459,7 @@ def _cmd_export(args) -> int:
         series_to_json,
     )
 
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+    deployment, code = _run(args)
     archive = ScienceArchive(deployment.server)
     if args.what == "snapshot":
         print(archive_snapshot_json(archive))
@@ -549,8 +492,6 @@ def _parse_param_value(raw: str):
 
 
 def _cmd_sweep(args) -> int:
-    import json
-
     from repro.fleet import SweepCache, SweepSpec, expand_grid, run_sweep, sweep_to_json
 
     params = {}
@@ -562,9 +503,7 @@ def _cmd_sweep(args) -> int:
     # Fleet sugar: the flags expand to ordinary grid axes, so they cross
     # with --param and land in config digests like any other override.
     if args.stations is not None:
-        if args.stations < 2:
-            raise SystemExit("repro-sim: --stations must be >= 2")
-        params.setdefault("extra_stations", [args.stations - 2])
+        params.setdefault("extra_stations", [_extra_stations(args.stations)])
     if args.servers:
         params.setdefault("servers",
                           [int(v) for v in args.servers.split(",") if v])
@@ -573,25 +512,10 @@ def _cmd_sweep(args) -> int:
             "server_policy",
             [p.strip() for p in args.server_policy.split(",") if p.strip()])
     seeds = [int(s) for s in args.seeds.split(",") if s]
-    fault_plans = None
-    if args.faults:
-        fault_plans = []
-        for path in args.faults:
-            if path == "none":
-                fault_plans.append(None)
-            else:
-                with open(path, "r", encoding="utf-8") as fh:
-                    fault_plans.append(json.load(fh))
-    alert_rules = None
-    if args.alerts:
-        from repro.obs.alerts import AlertEngine
-
-        try:
-            with open(args.alerts, "r", encoding="utf-8") as fh:
-                alert_rules = json.load(fh)
-            AlertEngine(alert_rules)  # validate once, before fan-out
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro-sim: cannot load alert rules: {exc}")
+    # Plans and rules are validated once here, before fan-out.
+    fault_plans = [None if path == "none" else load_fault_plan(path)
+                   for path in args.faults] or None
+    alert_rules = load_alert_rules(args.alerts) if args.alerts else None
     spec = SweepSpec(grid=expand_grid(params), seeds=seeds, days=args.days,
                      fault_plans=fault_plans, alert_rules=alert_rules)
     if args.cache_gc:
@@ -675,47 +599,6 @@ def _cmd_rollup(args) -> int:
     return 0
 
 
-def _cmd_races(args) -> int:
-    """Two-pronged event-ordering race check.
-
-    Static prong: the three tie-sensitivity rules over ``--paths``.
-    Dynamic prong: the mission replayed once per ``--policies`` entry,
-    normalized trace digests diffed against the first (baseline) policy,
-    divergences bisected to the offending schedule callsites.  Exit 0 iff
-    both prongs are clean.
-    """
-    import json
-
-    from repro.lint.engine import lint_paths
-    from repro.lint.races import RACE_RULE_IDS
-    from repro.lint.rules import default_rules
-    from repro.lint.tie_replay import check_tie_robustness
-
-    static_findings = lint_paths(
-        args.paths, rules=default_rules(select=list(RACE_RULE_IDS)))
-    fault_plan = _load_fault_plan(args)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    report = check_tie_robustness(seed=args.seed, days=args.days,
-                                  policies=policies, fault_plan=fault_plan,
-                                  overrides=_fleet_overrides(args) or None)
-    if args.format == "json":
-        text = json.dumps({
-            "static": [finding.to_dict() for finding in static_findings],
-            "replay": report.to_dict(),
-        }, indent=2)
-    else:
-        lines = [f"static race rules: {len(static_findings)} finding(s) "
-                 f"over {' '.join(args.paths)}"]
-        lines.extend("  " + finding.render() for finding in static_findings)
-        lines.append(report.format())
-        text = "\n".join(lines)
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0 if not static_findings and report.robust else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     if argv is None:
@@ -734,10 +617,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "metrics": _cmd_metrics,
         "export": _cmd_export,
-        "inject": _cmd_inject,
+        "verify": _cmd_verify,
         "sweep": _cmd_sweep,
         "rollup": _cmd_rollup,
-        "races": _cmd_races,
     }
     return handlers[args.command](args)
 

@@ -123,14 +123,13 @@ class DeploymentConfig:
     station_tilt_sensors: bool = False
     #: Fault plan to arm against this deployment, as the plain-dict form of
     #: :class:`repro.faults.FaultPlan`.  Data only: the core layer never
-    #: interprets it — the layers above (cli, fleet, lint) hand it to
-    #: ``repro.faults.apply_fault_plan`` before running, preserving the §7
-    #: downward-imports rule.
+    #: interprets it — ``repro.faults.apply_fault_plan`` arms it before
+    #: running, preserving the §7 downward-imports rule.
     fault_plan: Optional[dict] = None
     #: Kernel tie-break policy for same-timestamp events: ``"fifo"``
     #: (default), ``"lifo"``, or ``"shuffle:<seed>"``.  The perturbed
-    #: policies are replay *controls* for the races harness
-    #: (``repro.lint.tie_replay``); production runs keep fifo.
+    #: policies are replay *controls* for the tie replay in ``repro-sim
+    #: verify`` (``repro.lint.tie_replay``); production runs keep fifo.
     tie_break: str = "fifo"
     #: Additional solar-only stations beyond the paper's base + reference
     #: pair (``station00``, ``station01``, ...), each with its wake/comms

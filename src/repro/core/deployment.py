@@ -143,6 +143,9 @@ class Deployment:
             )
             for index, extra in enumerate(extra_configs)
         ]
+        #: The armed fault engine, set by the faults layer when a scenario
+        #: carries a plan; None when no faults are armed.
+        self.fault_engine = None
 
     def _station_server(self, station_name: str, station_index: int):
         """What a station dials: the server itself, or its fleet client."""

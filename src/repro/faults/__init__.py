@@ -10,14 +10,18 @@ claims.  Same seed + same plan reproduces byte-identical traces.
 
 Typical use::
 
-    from repro.core import Deployment, DeploymentConfig
-    from repro.faults import apply_fault_plan, canonical_chaos_plan
+    from repro.faults import Scenario, canonical_chaos_plan
 
-    deployment = Deployment(DeploymentConfig(seed=42))
-    engine = apply_fault_plan(deployment, canonical_chaos_plan())
-    deployment.run_days(45)
-    report = engine.finish()
+    scenario = Scenario.of(seed=42, days=45,
+                           fault_plan=canonical_chaos_plan().to_dict())
+    deployment = scenario.build()
+    deployment.run_days(scenario.days)
+    report = deployment.fault_engine.finish()
     assert report.ok, report.format()
+
+:class:`Scenario` is the one description of a run (overrides, seed, days,
+fault plan, alert rules, manual override) and :meth:`Scenario.build` the
+one place that constructs and arms a deployment from it.
 """
 
 from repro.faults.harness import FaultEngine, apply_fault_plan
@@ -34,6 +38,7 @@ from repro.faults.plan import (
     ResolvedFault,
     canonical_chaos_plan,
 )
+from repro.faults.scenario import Scenario
 
 __all__ = [
     "FAULT_KINDS",
@@ -44,6 +49,7 @@ __all__ = [
     "InvariantChecker",
     "InvariantReport",
     "ResolvedFault",
+    "Scenario",
     "Violation",
     "apply_fault_plan",
     "canonical_chaos_plan",

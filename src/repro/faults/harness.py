@@ -1,17 +1,17 @@
 """The fault engine: arm a :class:`FaultPlan` against a live deployment.
 
-``apply_fault_plan(deployment, plan)`` is the one call every entry point
-(CLI ``--faults``, ``repro-sim inject``, fleet sweeps, the determinism
-replay harness) makes after constructing a ``Deployment`` and before
-``run_days``.  It resolves the plan's schedule (seeded stochastic windows
-included), groups window faults per target, installs the injectors from
-:mod:`repro.faults.injectors`, and optionally attaches an
-:class:`~repro.faults.invariants.InvariantChecker`.
+``apply_fault_plan(deployment, plan)`` arms a plan after a ``Deployment``
+is constructed and before ``run_days``; :meth:`repro.faults.Scenario.build`
+is the one caller in ``src/``.  It resolves the plan's schedule (seeded
+stochastic windows included), groups window faults per target, installs
+the injectors from :mod:`repro.faults.injectors`, and attaches an
+:class:`~repro.faults.invariants.InvariantChecker`.  The checker only
+observes, so it is always armed with the plan.
 
 Layering note: ``repro.faults`` sits *above* ``repro.core`` — the engine
 imports the deployment, never the reverse.  ``DeploymentConfig.fault_plan``
 holds plain dict data only; turning that data into injectors is this
-module's job, called from the layers above core (cli, fleet, lint).
+module's job, reached through :class:`repro.faults.Scenario`.
 """
 
 from __future__ import annotations
@@ -36,19 +36,16 @@ class FaultEngine:
     """A plan armed against one deployment.
 
     Holds the installed injectors (keeping their wrapped originals alive)
-    and the optional invariant checker; :meth:`finish` returns the
-    checker's report after the run.
+    and the invariant checker; :meth:`finish` returns the checker's
+    report after the run.
     """
 
-    def __init__(self, deployment: Deployment, plan: FaultPlan,
-                 check_invariants: bool = True) -> None:
+    def __init__(self, deployment: Deployment, plan: FaultPlan) -> None:
         self.deployment = deployment
         self.plan = plan
         self.resolved: List[ResolvedFault] = plan.resolve(deployment.sim.rng)
         self.injectors: List[object] = []
-        self.checker: Optional[InvariantChecker] = (
-            InvariantChecker(deployment.sim) if check_invariants else None
-        )
+        self.checker = InvariantChecker(deployment.sim)
         self._arm()
 
     # ------------------------------------------------------------------
@@ -136,17 +133,14 @@ class FaultEngine:
                     ServerOutageInjector(sim, self.deployment.server, windows))
 
     # ------------------------------------------------------------------
-    def finish(self) -> Optional[InvariantReport]:
-        """Detach and report the invariant checker (None if disabled)."""
-        if self.checker is None:
-            return None
+    def finish(self) -> InvariantReport:
+        """Detach and report the invariant checker."""
         return self.checker.finish()
 
 
 def apply_fault_plan(
     deployment: Deployment,
     plan: Union[FaultPlan, dict, None] = None,
-    check_invariants: bool = True,
 ) -> Optional[FaultEngine]:
     """Arm a fault plan against a deployment; the standard entry point.
 
@@ -161,4 +155,4 @@ def apply_fault_plan(
         return None
     if isinstance(plan, dict):
         plan = FaultPlan.from_dict(plan)
-    return FaultEngine(deployment, plan, check_invariants=check_invariants)
+    return FaultEngine(deployment, plan)

@@ -100,7 +100,7 @@ def run_chunk(chunk: Sequence[Any], cache_root: Optional[str],
     """
     import time
 
-    from repro.fleet.runner import _record, run_job
+    from repro.fleet.runner import _fold_key, _record, run_job
     from repro.obs.rollup import RollupAggregate
 
     start = time.perf_counter()  # repro-lint: disable=wall-clock
@@ -119,9 +119,7 @@ def run_chunk(chunk: Sequence[Any], cache_root: Optional[str],
             hits += 1
         snapshot = summary.pop("metrics", None)
         if snapshot is not None and rollup is not None:
-            rollup.fold(
-                (job.config_digest, job.fault_plan_json or "", job.seed),
-                snapshot)
+            rollup.fold(_fold_key(job), snapshot)
         records.append(_record(job, summary))
     partial = rollup.to_partial_doc() if rollup is not None else None
     payload = {"records": records, "rollup": partial}

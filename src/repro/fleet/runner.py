@@ -35,46 +35,25 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
-from repro.core.config import DeploymentConfig, StationConfig
 from repro.core.deployment import Deployment
+from repro.faults.scenario import Scenario, canonical_json, check_overrides
 from repro.fleet.cache import SweepCache, config_digest, job_digest
 from repro.fleet.results import SweepResult
-
-#: Override items as a sorted tuple of pairs — hashable, picklable, and
-#: canonical (two dicts with the same content produce the same job).
-OverrideItems = Tuple[Tuple[str, Any], ...]
-
-_STATION_FIELDS = frozenset(f.name for f in dataclasses.fields(StationConfig))
-
-#: Deployment-level grid axes: scalar DeploymentConfig fields a sweep may
-#: override directly (fleet shape, policies, tenancy...).  The structured
-#: fields (station configs, weather, fault plans) have their own channels.
-_DEPLOYMENT_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(DeploymentConfig)
-) - {"seed", "base", "reference", "weather", "glacier", "fault_plan"}
 
 
 @dataclasses.dataclass(frozen=True)
 class SweepJob:
-    """One grid point: config overrides × fault plan × seed × duration.
+    """One grid point: a :class:`~repro.faults.Scenario` and its digests.
 
-    ``fault_plan_json`` carries the plan's canonical JSON string (not the
-    dict) so the job stays hashable and picklable; ``None`` means no
-    faults, which is also the wire format of every pre-fault sweep.
+    ``config_digest`` keys the merge order (seed-independent);
+    ``digest`` is the cache key over the scenario's full inputs.
     """
 
-    overrides: OverrideItems
-    seed: int
-    days: float
+    scenario: Scenario
     config_digest: str
     digest: str
-    fault_plan_json: Optional[str] = None
-    #: Canonical JSON of the alert-rules document (None = no rules);
-    #: string form for the same hashability/pickling reasons as the plan.
-    alert_rules_json: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -104,45 +83,33 @@ class SweepSpec:
 
         The streaming form of :meth:`jobs` — the chunked executor
         consumes this directly so a million-run campaign never holds the
-        full job list (let alone a future per job) in memory.
+        full job list (let alone a future per job) in memory.  Per job
+        the only hashing is the cache key: one canonical payload and one
+        SHA-256; plan and rules JSON are canonicalised once per sweep.
         """
         plans = self.fault_plans if self.fault_plans else [None]
+        plan_jsons = [None if plan is None else canonical_json(plan)
+                      for plan in plans]
         rules_json = (None if self.alert_rules is None
-                      else _canonical_plan(self.alert_rules))
+                      else canonical_json(self.alert_rules))
         for overrides in self.grid:
-            unknown = set(overrides) - _STATION_FIELDS - _DEPLOYMENT_FIELDS
-            if unknown:
-                raise ValueError(
-                    f"unknown StationConfig/DeploymentConfig field(s)"
-                    f" in sweep grid: {sorted(unknown)}"
-                )
-            items: OverrideItems = tuple(sorted(overrides.items()))
+            check_overrides(overrides)
+            items = tuple(sorted(overrides.items()))
             cfg_digest = config_digest(overrides)
-            for plan in plans:
-                plan_json = None if plan is None else _canonical_plan(plan)
+            for plan, plan_json in zip(plans, plan_jsons):
                 for seed in self.seeds:
                     yield SweepJob(
-                        overrides=items,
-                        seed=int(seed),
-                        days=self.days,
+                        scenario=Scenario(items, int(seed), self.days,
+                                          plan_json, rules_json),
                         config_digest=cfg_digest,
                         digest=job_digest(overrides, self.days, seed,
                                           fault_plan=plan,
                                           alert_rules=self.alert_rules),
-                        fault_plan_json=plan_json,
-                        alert_rules_json=rules_json,
                     )
 
     def jobs(self) -> List[SweepJob]:
         """The expanded job list, validated, in deterministic order."""
         return list(self.iter_jobs())
-
-
-def _canonical_plan(plan: Any) -> str:
-    """Canonical JSON for a plan/rules document (sorted keys, compact)."""
-    import json
-
-    return json.dumps(plan, sort_keys=True, separators=(",", ":"))
 
 
 def expand_grid(params: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -162,40 +129,16 @@ def run_job(job: SweepJob) -> Dict[str, Any]:
     """Execute one deployment run and return its summary (worker entry).
 
     Top-level so it pickles into pool workers; everything it needs rides
-    in the :class:`SweepJob`.
+    in the job's :class:`~repro.faults.Scenario`.
     """
-    import json
-
-    base = StationConfig()
-    deployment_overrides: Dict[str, Any] = {}
-    for name, value in job.overrides:
-        if name in _DEPLOYMENT_FIELDS:
-            deployment_overrides[name] = value
-        else:
-            setattr(base, name, value)
-    deployment = Deployment(DeploymentConfig(seed=job.seed, base=base,
-                                             **deployment_overrides))
-    engine = None
-    if job.fault_plan_json is not None:
-        from repro.faults import apply_fault_plan
-
-        engine = apply_fault_plan(deployment, json.loads(job.fault_plan_json))
-    alert_engine = None
-    if job.alert_rules_json is not None:
-        from repro.obs.alerts import AlertEngine
-
-        sim = deployment.sim
-        alert_engine = AlertEngine(json.loads(job.alert_rules_json),
-                                   metrics=sim.obs.metrics)
-        alert_engine.attach(sim.trace)
-    deployment.run_days(job.days)
+    scenario = job.scenario
+    deployment = scenario.build()
+    deployment.run_days(scenario.days)
     obs = deployment.sim.obs
     conservation = obs.finalise(deployment.sim)
-    if alert_engine is not None:
-        alert_engine.finish(deployment.sim.now)
-    summary = summarise(deployment, job.days)
-    if engine is not None:
-        report = engine.finish()
+    summary = summarise(deployment, scenario.days)
+    if deployment.fault_engine is not None:
+        report = deployment.fault_engine.finish()
         summary["faults"] = {
             "injected": len(report.outcomes),
             "violations": len(report.violations),
@@ -204,8 +147,8 @@ def run_job(job: SweepJob) -> Dict[str, Any]:
         }
     if conservation is not None:
         summary["provenance"] = conservation.to_dict()
-    if alert_engine is not None:
-        summary["alerts"] = alert_engine.summary()
+    if obs.alerts is not None:
+        summary["alerts"] = obs.alerts.summary()
     # The full registry snapshot rides in the summary so cache hits can be
     # folded into the campaign rollup without re-running anything; the
     # folding side strips it from run records after folding.
@@ -260,18 +203,25 @@ def summarise(deployment: Deployment, days: float) -> Dict[str, Any]:
 
 
 def _record(job: SweepJob, summary: Dict[str, Any]) -> Dict[str, Any]:
+    scenario = job.scenario
     record = {
-        "config": dict(job.overrides),
+        "config": dict(scenario.overrides),
         "config_digest": job.config_digest,
-        "seed": job.seed,
-        "days": job.days,
+        "seed": scenario.seed,
+        "days": scenario.days,
         "result": summary,
     }
-    if job.fault_plan_json is not None:
+    if scenario.fault_plan_json is not None:
         import json
 
-        record["fault_plan"] = json.loads(job.fault_plan_json)
+        record["fault_plan"] = json.loads(scenario.fault_plan_json)
     return record
+
+
+def _fold_key(job: SweepJob):
+    """The rollup fold key: ``(config digest, plan JSON or "", seed)``."""
+    scenario = job.scenario
+    return (job.config_digest, scenario.fault_plan_json or "", scenario.seed)
 
 
 def _absorb(result: SweepResult, job: SweepJob,
@@ -286,9 +236,7 @@ def _absorb(result: SweepResult, job: SweepJob,
     """
     snapshot = summary.pop("metrics", None)
     if snapshot is not None and result.rollup is not None:
-        result.rollup.fold(
-            (job.config_digest, job.fault_plan_json or "", job.seed),
-            snapshot)
+        result.rollup.fold(_fold_key(job), snapshot)
         result.parent_folds += 1
     result.runs.append(_record(job, summary))
 

@@ -12,33 +12,25 @@ This package enforces the invariants that make that true:
   ``# repro-lint: disable=<rule>`` suppression, structured findings;
 - **a CLI gate** (:mod:`repro.lint.cli`, installed as ``repro-lint``) —
   text/JSON output, exit 0/1 for CI;
-- **a runtime harness** (:mod:`repro.lint.determinism`) — replays a short
-  mission twice with one seed and diffs trace digests.
+- **dynamic checks** (:mod:`repro.lint.verify`, run as ``repro-sim
+  verify``) — same-seed replay (:mod:`repro.lint.determinism`), perturbed
+  tie-order replay (:mod:`repro.lint.tie_replay`) and the fault-invariant
+  and conservation verdict, all on one scenario.
 
 See ``docs/determinism.md`` for the invariant catalogue and how to add rules.
 """
 
+from repro.lint.determinism import DeterminismReport, trace_digest
 from repro.lint.engine import lint_paths, lint_source
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import RULE_REGISTRY, Rule, default_rules, register
-
-#: Harness symbols resolved lazily so ``python -m repro.lint.determinism``
-#: does not trigger the found-in-sys.modules RuntimeWarning.
-_DETERMINISM_EXPORTS = ("DeterminismReport", "check_determinism", "trace_digest")
-
-
-def __getattr__(name: str):
-    """Lazy access to the determinism harness exports."""
-    if name in _DETERMINISM_EXPORTS:
-        from repro.lint import determinism
-
-        return getattr(determinism, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.lint.verify import VerifyReport, verify
 
 __all__ = [
     "DeterminismReport",
-    "check_determinism",
+    "VerifyReport",
     "trace_digest",
+    "verify",
     "lint_paths",
     "lint_source",
     "Finding",

@@ -6,10 +6,9 @@ Usage::
     repro-lint src/repro --format json         # machine-readable
     repro-lint --list-rules                    # what is enforced
     repro-lint src/repro --disable float-equality
-    repro-lint --check-determinism --days 0.5  # also replay a mission twice
 
-Exit code is 0 iff no blocking findings (and, when requested, the
-determinism replay matched).
+Exit code is 0 iff no blocking findings.  The dynamic checks (same-seed
+replay, tie replay, fault invariants) run through ``repro-sim verify``.
 """
 
 from __future__ import annotations
@@ -43,12 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the rule registry and exit")
     parser.add_argument("--warnings-ok", action="store_true",
                         help="exit 0 when only warning-severity findings remain")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="also run a short mission twice and diff trace digests")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for --check-determinism")
-    parser.add_argument("--days", type=float, default=0.5,
-                        help="mission length for --check-determinism")
     return parser
 
 
@@ -68,7 +61,7 @@ def _render_text(findings: List[Finding]) -> str:
     return "\n".join(lines)
 
 
-def _render_json(findings: List[Finding], determinism_summary: Optional[dict]) -> str:
+def _render_json(findings: List[Finding]) -> str:
     payload = {
         "version": 1,
         "findings": [finding.to_dict() for finding in findings],
@@ -78,8 +71,6 @@ def _render_json(findings: List[Finding], determinism_summary: Optional[dict]) -
             "warning": sum(1 for f in findings if f.severity is Severity.WARNING),
         },
     }
-    if determinism_summary is not None:
-        payload["determinism"] = determinism_summary
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -106,35 +97,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     findings = lint_paths(args.paths, rules=rules)
-
-    determinism_summary = None
-    determinism_ok = True
-    if args.check_determinism:
-        from repro.lint.determinism import check_determinism
-
-        report = check_determinism(seed=args.seed, days=args.days)
-        determinism_ok = report.identical
-        determinism_summary = {
-            "seed": report.seed,
-            "days": report.days,
-            "digest_a": report.digest_a,
-            "digest_b": report.digest_b,
-            "identical": report.identical,
-        }
-
     if args.format == "json":
-        print(_render_json(findings, determinism_summary))
+        print(_render_json(findings))
     else:
         print(_render_text(findings))
-        if determinism_summary is not None:
-            status = "identical" if determinism_ok else "DIVERGED"
-            print(f"determinism replay (seed={args.seed}, {args.days:g} d): {status}")
 
     blocking = [
         f for f in findings
         if f.severity is Severity.ERROR or not args.warnings_ok
     ]
-    return 0 if not blocking and determinism_ok else 1
+    return 0 if not blocking else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

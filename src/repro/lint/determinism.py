@@ -1,24 +1,17 @@
-"""Runtime determinism harness: the dynamic half of the lint gate.
+"""Trace digests and the same-seed replay verdict.
 
 The static rules catch the *causes* of nondeterminism; this module checks
-the *effect*: two missions built from the same seed must produce
-byte-identical traces.  It runs a short deployment twice, digests every
-trace record, and reports the first divergence if the digests differ.
-
-Run directly::
-
-    python -m repro.lint.determinism --seed 0 --days 0.5
-
-or via ``repro-lint --check-determinism``.
+the *effect*: two missions built from the same scenario must produce
+byte-identical traces.  Every trace record is rendered canonically and
+digested; on a mismatch the report names the first diverging record.
+``repro-sim verify`` runs the replay (see :mod:`repro.lint.verify`).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.trace import TraceRecord
 
@@ -52,45 +45,17 @@ def lines_digest(lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def build_mission(seed: int, fault_plan: Optional[dict] = None,
-                  tie_break: str = "fifo",
-                  overrides: Optional[dict] = None):
-    """A ready-to-run canonical mission (fault plan armed, policy set).
-
-    Shared by the same-seed replay check here and the perturbed-tie
-    replay harness (:mod:`repro.lint.tie_replay`), which needs the
-    deployment *before* the run to switch on kernel tie diagnostics.
-    ``overrides`` holds extra :class:`DeploymentConfig` kwargs (fleet
-    shape, upload policy, tenancy) so the replay gates cover fleet
-    missions too.
-    """
-    from repro.core import Deployment, DeploymentConfig
-
-    deployment = Deployment(DeploymentConfig(seed=seed, tie_break=tie_break,
-                                             **(overrides or {})))
-    if fault_plan is not None:
-        from repro.faults import apply_fault_plan
-
-        apply_fault_plan(deployment, fault_plan, check_invariants=False)
-    return deployment
+def trace_lines(mission) -> List[str]:
+    """The canonical rendering of every trace record a mission emitted."""
+    return [record_canonical(record) for record in mission.sim.trace.records]
 
 
-def run_mission(seed: int, days: float,
-                fault_plan: Optional[dict] = None,
-                tie_break: str = "fifo",
-                overrides: Optional[dict] = None) -> Tuple[str, List[str]]:
-    """Run one short deployment; return (trace digest, canonical lines).
-
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan` dict form) is armed
-    before the run, so the replay comparison covers fault scheduling,
-    injection edges and every recovery path the plan provokes.
-    ``tie_break`` selects the kernel's same-timestamp ordering policy.
-    """
-    deployment = build_mission(seed, fault_plan=fault_plan, tie_break=tie_break,
-                               overrides=overrides)
-    deployment.run_days(days)
-    lines = [record_canonical(r) for r in deployment.sim.trace.records]
-    return trace_digest(deployment.sim.trace.records), lines
+def run_mission(scenario) -> Tuple[str, List[str]]:
+    """Build and run a :class:`~repro.faults.Scenario`; (digest, lines)."""
+    mission = scenario.build()
+    mission.run_days(scenario.days)
+    lines = trace_lines(mission)
+    return lines_digest(lines), lines
 
 
 @dataclass(frozen=True)
@@ -103,18 +68,28 @@ class DeterminismReport:
     digest_b: str
     #: First (line number, run-A line, run-B line) divergence, if any.
     first_divergence: Optional[Tuple[int, str, str]]
+    #: Trace records run A emitted; zero makes the comparison vacuous.
+    records: int = 0
 
     @property
     def identical(self) -> bool:
         return self.digest_a == self.digest_b
 
+    @property
+    def ok(self) -> bool:
+        """Identical digests over a non-empty trace."""
+        return self.identical and self.records > 0
+
     def summary(self) -> str:
         """Human-readable verdict, including the first divergence on failure."""
-        if self.identical:
+        if self.ok:
             return (
                 f"determinism OK: seed={self.seed} days={self.days:g} "
                 f"digest={self.digest_a[:16]}…"
             )
+        if self.identical:
+            return (f"determinism FAILED: seed={self.seed} days={self.days:g} "
+                    f"emitted no trace records, so the replay proves nothing")
         lines = [
             f"determinism FAILED: seed={self.seed} days={self.days:g}",
             f"  run A digest: {self.digest_a}",
@@ -127,15 +102,22 @@ class DeterminismReport:
             lines.append(f"    B: {b}")
         return "\n".join(lines)
 
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe form for verify's ``--report-out FILE.json``."""
+        return {
+            "seed": self.seed,
+            "days": self.days,
+            "records": self.records,
+            "digest_a": self.digest_a,
+            "digest_b": self.digest_b,
+            "ok": self.ok,
+        }
 
-def check_determinism(seed: int = 0, days: float = 0.5,
-                      fault_plan: Optional[dict] = None,
-                      overrides: Optional[dict] = None) -> DeterminismReport:
-    """Run the same mission twice and diff the trace digests."""
-    digest_a, lines_a = run_mission(seed, days, fault_plan=fault_plan,
-                                    overrides=overrides)
-    digest_b, lines_b = run_mission(seed, days, fault_plan=fault_plan,
-                                    overrides=overrides)
+
+def compare_replay(seed: int, days: float, lines_a: List[str],
+                   lines_b: List[str]) -> DeterminismReport:
+    """Diff two runs' canonical trace lines into a replay verdict."""
+    digest_a, digest_b = lines_digest(lines_a), lines_digest(lines_b)
     divergence: Optional[Tuple[int, str, str]] = None
     if digest_a != digest_b:
         for index, (a, b) in enumerate(zip(lines_a, lines_b)):
@@ -149,49 +131,5 @@ def check_determinism(seed: int = 0, days: float = 0.5,
             divergence = (index, next_a, next_b)
     return DeterminismReport(
         seed=seed, days=days, digest_a=digest_a, digest_b=digest_b,
-        first_divergence=divergence,
+        first_divergence=divergence, records=len(lines_a),
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: exit 0 iff the replay is bit-identical."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.determinism",
-        description="Replay a short mission twice and diff trace digests.",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--days", type=float, default=0.5,
-                        help="mission length in simulated days")
-    parser.add_argument("--faults", metavar="PLAN.json", default=None,
-                        help="fault plan to arm in both runs (JSON file)")
-    parser.add_argument("--stations", type=int, default=None, metavar="N",
-                        help="total station count (>= 2)")
-    parser.add_argument("--servers", type=int, default=None, metavar="N",
-                        help="server fleet size")
-    parser.add_argument("--server-policy", default=None,
-                        choices=("static", "round-robin", "hop"),
-                        help="station upload-target policy")
-    args = parser.parse_args(argv)
-    fault_plan = None
-    if args.faults is not None:
-        import json
-
-        with open(args.faults, "r", encoding="utf-8") as fh:
-            fault_plan = json.load(fh)
-    overrides = {}
-    if args.stations is not None:
-        overrides["extra_stations"] = max(0, args.stations - 2)
-    if args.servers is not None:
-        overrides["servers"] = args.servers
-    if args.server_policy is not None:
-        overrides["server_policy"] = args.server_policy
-    report = check_determinism(seed=args.seed, days=args.days,
-                               fault_plan=fault_plan,
-                               overrides=overrides or None)
-    # This module doubles as a CLI entry point; stdout is its interface.
-    print(report.summary())  # repro-lint: disable=no-print
-    return 0 if report.identical else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

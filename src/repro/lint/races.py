@@ -431,8 +431,8 @@ class TieBreakAssumptionRule(Rule):
             )
 
 
-#: The static prong's rule ids, in registry order — ``repro-sim races``
-#: and the CI race gate select exactly these.
+#: The three tie-sensitivity rule ids, in registry order (they run with
+#: every other rule in ``repro-lint src/repro``).
 RACE_RULE_IDS = (
     SameTimeScheduleRule.id,
     OrderDependentCallbackRule.id,

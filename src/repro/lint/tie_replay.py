@@ -20,26 +20,16 @@ callsites whose relative order flipped — reported as structured
 :class:`~repro.lint.findings.Finding` objects under the
 ``tie-order-divergence`` rule id.
 
-Run directly::
-
-    python -m repro.lint.tie_replay --seed 0 --days 10
-
-or via ``repro-sim races`` (which also runs the static prong).
+``repro-sim verify`` runs this replay (fifo against ``shuffle:1``) on
+the same scenario as the same-seed replay; see :mod:`repro.lint.verify`.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.determinism import (
-    build_mission,
-    lines_digest,
-    record_canonical,
-    trace_digest,
-)
+from repro.lint.determinism import lines_digest, trace_lines
 from repro.lint.findings import Finding, Severity
 
 #: Rule id carried by dynamic-prong findings.
@@ -124,9 +114,15 @@ class TieReplayReport:
     findings: Tuple[Finding, ...] = field(default=())
 
     @property
+    def vacuous(self) -> bool:
+        """True when the baseline emitted no trace records at all."""
+        return self.runs[0].records == 0
+
+    @property
     def robust(self) -> bool:
-        """True when every policy reproduced the baseline's normalized digest."""
-        return not self.divergences
+        """True when every policy reproduced the baseline's non-empty
+        normalized trace."""
+        return not self.divergences and not self.vacuous
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -134,6 +130,7 @@ class TieReplayReport:
             "days": self.days,
             "policies": list(self.policies),
             "robust": self.robust,
+            "vacuous": self.vacuous,
             "runs": [run.to_dict() for run in self.runs],
             "divergences": [div.to_dict() for div in self.divergences],
             "findings": [finding.to_dict() for finding in self.findings],
@@ -152,6 +149,10 @@ class TieReplayReport:
             )
         if self.robust:
             lines.append("tie replay OK: all policies agree")
+            return "\n".join(lines)
+        if self.vacuous:
+            lines.append("tie replay FAILED: the mission emitted no trace "
+                         "records, so the replay proves nothing")
             return "\n".join(lines)
         lines.append("tie replay FAILED: trace depends on same-timestamp order")
         for div in self.divergences:
@@ -173,18 +174,19 @@ class TieReplayReport:
 MissionFactory = Callable[[str], Any]
 
 
-def _run_policy(factory: MissionFactory, policy: str,
-                days: float) -> Tuple[PolicyRun, List[str]]:
+def _run_policy(factory: MissionFactory, policy: str, days: float) -> List[str]:
     mission = factory(policy)
     mission.run_days(days)
-    records = mission.sim.trace.records
-    lines = [record_canonical(record) for record in records]
+    return trace_lines(mission)
+
+
+def _policy_run(policy: str, lines: List[str]) -> PolicyRun:
     return PolicyRun(
         policy=policy,
-        digest=trace_digest(records),
+        digest=lines_digest(lines),
         normalized_digest=lines_digest(normalize_tie_order(lines)),
         records=len(lines),
-    ), lines
+    )
 
 
 def _first_divergence(policy: str, base_lines: List[str],
@@ -308,34 +310,34 @@ def _divergence_findings(divergence: TieDivergence,
 
 
 def check_tie_robustness(
+    mission_factory: MissionFactory,
     seed: int = 0,
     days: float = 45.0,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    fault_plan: Optional[dict] = None,
-    mission_factory: Optional[MissionFactory] = None,
-    overrides: Optional[dict] = None,
+    baseline_lines: Optional[List[str]] = None,
 ) -> TieReplayReport:
     """Replay one mission under each policy and diff normalized digests.
 
     ``policies[0]`` is the baseline; every other policy is compared
-    against it.  On divergence the report carries the bisected first
-    diverging record and ``tie-order-divergence`` findings at the
-    offending schedule callsites (diagnosed from two further runs with
-    kernel tie diagnostics enabled).
+    against it.  ``baseline_lines`` supplies the baseline run's canonical
+    trace when the caller already ran it (``repro-sim verify`` shares its
+    first run); ``seed`` only labels the report.  On divergence the
+    report carries the bisected first diverging record and
+    ``tie-order-divergence`` findings at the offending schedule callsites
+    (diagnosed from two further runs with kernel tie diagnostics enabled).
     """
     if len(policies) < 2:
         raise ValueError("need at least two policies (baseline + perturbed)")
-    if mission_factory is None:
-        def mission_factory(policy: str):
-            return build_mission(seed, fault_plan=fault_plan, tie_break=policy,
-                                 overrides=overrides)
     baseline_policy = policies[0]
-    baseline_run, baseline_lines = _run_policy(mission_factory, baseline_policy, days)
+    if baseline_lines is None:
+        baseline_lines = _run_policy(mission_factory, baseline_policy, days)
+    baseline_run = _policy_run(baseline_policy, baseline_lines)
     runs: List[PolicyRun] = [baseline_run]
     divergences: List[TieDivergence] = []
     findings: List[Finding] = []
     for policy in policies[1:]:
-        run, lines = _run_policy(mission_factory, policy, days)
+        lines = _run_policy(mission_factory, policy, days)
+        run = _policy_run(policy, lines)
         runs.append(run)
         if run.normalized_digest == baseline_run.normalized_digest:
             continue
@@ -351,51 +353,9 @@ def check_tie_robustness(
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: exit 0 iff the mission is tie-order robust."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.tie_replay",
-        description="Replay a mission under perturbed tie-break policies "
-                    "and diff normalized trace digests.",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--days", type=float, default=10.0,
-                        help="mission length in simulated days")
-    parser.add_argument("--policies", default=",".join(DEFAULT_POLICIES),
-                        metavar="P1,P2,...",
-                        help="tie-break policies; the first is the baseline "
-                             "(default: %(default)s)")
-    parser.add_argument("--faults", metavar="PLAN.json", default=None,
-                        help="fault plan to arm in every replay (JSON file)")
-    parser.add_argument("--stations", type=int, default=None, metavar="N",
-                        help="total station count (>= 2)")
-    parser.add_argument("--servers", type=int, default=None, metavar="N",
-                        help="server fleet size")
-    parser.add_argument("--server-policy", default=None,
-                        choices=("static", "round-robin", "hop"),
-                        help="station upload-target policy")
-    args = parser.parse_args(argv)
-    fault_plan = None
-    if args.faults is not None:
-        import json
+def policy_factory(scenario) -> MissionFactory:
+    """A :data:`MissionFactory` building ``scenario`` under each policy."""
+    def build(policy: str):
+        return scenario.with_overrides(tie_break=policy).build()
 
-        with open(args.faults, "r", encoding="utf-8") as fh:
-            fault_plan = json.load(fh)
-    overrides = {}
-    if args.stations is not None:
-        overrides["extra_stations"] = max(0, args.stations - 2)
-    if args.servers is not None:
-        overrides["servers"] = args.servers
-    if args.server_policy is not None:
-        overrides["server_policy"] = args.server_policy
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    report = check_tie_robustness(seed=args.seed, days=args.days,
-                                  policies=policies, fault_plan=fault_plan,
-                                  overrides=overrides or None)
-    # This module doubles as a CLI entry point; stdout is its interface.
-    print(report.format())  # repro-lint: disable=no-print
-    return 0 if report.robust else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return build

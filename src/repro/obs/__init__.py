@@ -4,8 +4,7 @@ The paper's operational story is told through logfiles; :mod:`repro.sim.trace`
 reproduces those.  This package reproduces the *engineering view* the
 Glacsweb team never had in the field: per-subsystem counters and gauges
 (:mod:`repro.obs.metrics`), sim-time span trees (:mod:`repro.obs.spans`),
-optional wall-clock self-profiling (:mod:`repro.obs.profile`), and stable
-Prometheus / JSON / Chrome-trace / NDJSON exporters
+and stable Prometheus / JSON / Chrome-trace / NDJSON exporters
 (:mod:`repro.obs.export`).
 
 Mission/fleet-scale accountability rides on top: the data-provenance
@@ -38,7 +37,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.observability import Observability, owner_process_name
-from repro.obs.profile import WallClockProfile
 from repro.obs.provenance import ConservationReport, ProvenanceLedger
 from repro.obs.rollup import ExactSum, RollupAggregate, merge_rollups
 from repro.obs.spans import SpanRecord, SpanRecorder
@@ -59,7 +57,6 @@ __all__ = [
     "RollupAggregate",
     "SpanRecord",
     "SpanRecorder",
-    "WallClockProfile",
     "merge_rollups",
     "metrics_to_json",
     "metrics_to_prometheus",

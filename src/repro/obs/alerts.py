@@ -314,14 +314,11 @@ class AlertEngine:
         for rule in self.rules:
             rule.observe(record, self)
 
-    def finish(self, now: float,
-               metrics: Optional[MetricsRegistry] = None) -> List[AlertFiring]:
+    def finish(self, now: float) -> List[AlertFiring]:
         """Settle end-of-run conditions; idempotent."""
         if self._finished:
             return self.firings
         self._finished = True
-        if metrics is not None:
-            self.metrics = metrics
         for rule in self.rules:
             rule.finish(now, self)
         return self.firings

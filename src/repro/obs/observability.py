@@ -1,4 +1,4 @@
-"""The per-simulation observability hub: metrics + spans + profiling.
+"""The per-simulation observability hub: metrics, spans and alerts.
 
 One :class:`Observability` instance hangs off every
 :class:`~repro.sim.kernel.Simulation` (as ``sim.obs``), the way ``Trace``
@@ -6,26 +6,27 @@ does.  Subsystems reach it through the kernel — ``sim.obs.metrics.inc(...)``,
 ``with sim.obs.span(...)`` — so nothing above the kernel imports this
 package directly and the layering rule (architecture.md §7) holds.
 
-Three capability tiers, cheapest first:
+Capability tiers, cheapest first:
 
 1. **metrics + explicit spans** — always on.  Counters/gauges fed by the
    instrumented subsystems, plus a trace bridge counting every
    :class:`~repro.sim.trace.TraceRecord` by source and kind.
-2. **kernel spans** (``enable_kernel_spans`` / ``--spans-out``) — one
+2. **alerts** (``arm_alerts`` / ``--alerts``) — declarative SLO rules
+   evaluated against the trace stream and settled by :meth:`finalise`.
+3. **kernel spans** (``enable_kernel_spans`` / ``--spans-out``) — one
    instant span per processed event with the owning process name and the
    queue depth; the raw material for Chrome traces.
-3. **self-profiling** (``enable_self_profile`` / ``--self-profile``) — the
-   only wall-clock user in the system; excluded from every export (see
-   :mod:`repro.obs.profile`).
+
+Everything here runs on simulated time; host-time profiling lives in the
+``bench`` harness (``python -m bench trace``) and never enters a digest.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.obs.alerts import AlertEngine
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import WallClockProfile
 from repro.obs.provenance import ConservationReport, ProvenanceLedger
 from repro.obs.spans import SpanRecorder, _OpenSpan
 
@@ -52,13 +53,12 @@ def owner_process_name(event) -> str:
 
 
 class Observability:
-    """Metrics registry + span recorder + optional wall-clock profile."""
+    """Metrics registry + span recorder + provenance ledger + alerts."""
 
     def __init__(
         self,
         clock: "Optional[SimClock]" = None,
         kernel_spans: bool = False,
-        self_profile: bool = False,
         trace_bridge: bool = True,
         provenance: bool = True,
     ) -> None:
@@ -70,14 +70,13 @@ class Observability:
         self.provenance: Optional[ProvenanceLedger] = (
             ProvenanceLedger(self.metrics) if provenance else None
         )
+        #: Alert engine armed by :meth:`arm_alerts` (None = no rules).
+        self.alerts: Optional[AlertEngine] = None
         self.kernel_spans = kernel_spans
-        self.profile: Optional[WallClockProfile] = (
-            WallClockProfile() if self_profile else None
-        )
         #: Fast-path flag consulted when the kernel (re)selects its per-step
-        #: dispatch; True only when per-event work (spans or profiling) is
+        #: dispatch; True only when per-event work (kernel spans) is
         #: actually wanted.
-        self.kernel_active = bool(kernel_spans or self_profile)
+        self.kernel_active = kernel_spans
         self._trace_bridge = trace_bridge
         #: ``(source, kind) -> Counter`` — cached trace-bridge handles.
         self._trace_counters: dict = {}
@@ -106,12 +105,16 @@ class Observability:
         self.kernel_active = True
         self._notify_dispatch()
 
-    def enable_self_profile(self) -> None:
-        """Time every event's callbacks on the host clock from now on."""
-        if self.profile is None:
-            self.profile = WallClockProfile()
-        self.kernel_active = True
-        self._notify_dispatch()
+    def arm_alerts(self, rules_doc, trace) -> AlertEngine:
+        """Evaluate a parsed alert-rules document against ``trace``.
+
+        Raises ValueError on malformed rules.  Firings count into this
+        hub's metrics and echo back onto the trace; :meth:`finalise`
+        settles the end-of-run conditions.
+        """
+        self.alerts = AlertEngine(rules_doc, metrics=self.metrics)
+        self.alerts.attach(trace)
+        return self.alerts
 
     # ------------------------------------------------------------------
     # Spans
@@ -157,22 +160,14 @@ class Observability:
         depth); callbacks run in zero simulated time, so kernel event
         spans are instants.
         """
-        owner = owner_process_name(event)
-        if self.kernel_spans:
-            self.metrics.inc("kernel_events_total", type=type(event).__name__)
-            self.spans.instant(
-                event.name or type(event).__name__,
-                track=owner or "kernel",
-                when=when,
-                queue_depth=queue_depth,
-            )
-        if self.profile is not None:
-            start = time.perf_counter()  # repro-lint: disable=wall-clock
-            run_callbacks()
-            elapsed = time.perf_counter() - start  # repro-lint: disable=wall-clock
-            self.profile.tick(owner or type(event).__name__, elapsed)
-        else:
-            run_callbacks()
+        self.metrics.inc("kernel_events_total", type=type(event).__name__)
+        self.spans.instant(
+            event.name or type(event).__name__,
+            track=owner_process_name(event) or "kernel",
+            when=when,
+            queue_depth=queue_depth,
+        )
+        run_callbacks()
 
     # ------------------------------------------------------------------
     # Export-time collection
@@ -190,13 +185,17 @@ class Observability:
         self.metrics.set_gauge("dispatch_batches_total", float(sim.dispatch_batches))
 
     def finalise(self, sim) -> "Optional[ConservationReport]":
-        """Mission-close collection: kernel gauges + provenance close-out.
+        """Mission-close collection: kernel gauges, provenance, alerts.
 
-        Idempotent (the ledger caches its report), so CLI exports and the
-        mission report can both finalise without double-counting.  Returns
-        the conservation report, or None when provenance is disabled.
+        Idempotent (the ledger caches its report and the alert engine
+        settles once), so CLI exports and the mission report can both
+        finalise without double-counting.  Returns the conservation
+        report, or None when provenance is disabled.
         """
         self.collect_kernel(sim)
-        if self.provenance is None:
-            return None
-        return self.provenance.finish(sim.now)
+        report = None
+        if self.provenance is not None:
+            report = self.provenance.finish(sim.now)
+        if self.alerts is not None:
+            self.alerts.finish(sim.now)
+        return report

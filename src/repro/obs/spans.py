@@ -2,9 +2,8 @@
 
 A span brackets one activity (a daily run, a GPRS session, a probe fetch)
 between two *simulated* instants.  Spans never read the host clock, so a
-same-seed replay produces a byte-identical span stream; wall-clock
-self-profiling lives in :mod:`repro.obs.profile` and is excluded from
-every export.
+same-seed replay produces a byte-identical span stream; host-time
+profiling lives in the ``bench`` harness and never reaches an export.
 
 Because many processes interleave in one simulation, nesting is tracked
 per *track* (one track per station or process, like a thread id in a

@@ -24,8 +24,13 @@ from repro.comms.probe_radio import ProbeRadioLink
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
 from repro.energy.components import GPRS_MODEM
-from repro.lint.determinism import lines_digest, record_canonical
-from repro.lint.tie_replay import check_tie_robustness, normalize_tie_order
+from repro.faults import Scenario
+from repro.lint.determinism import lines_digest, record_canonical, run_mission
+from repro.lint.tie_replay import (
+    check_tie_robustness,
+    normalize_tie_order,
+    policy_factory,
+)
 from repro.sim import Simulation
 
 
@@ -312,24 +317,21 @@ class TestDeploymentDigests:
     """The drop sampler at deployment level: replayable and tie-order robust."""
 
     def test_same_seed_replay_is_byte_identical(self):
-        from repro.lint.determinism import run_mission
-
-        digest_a, _ = run_mission(seed=0, days=3.0)
-        digest_b, _ = run_mission(seed=0, days=3.0)
+        digest_a, _ = run_mission(Scenario.of(seed=0, days=3.0))
+        digest_b, _ = run_mission(Scenario.of(seed=0, days=3.0))
         assert digest_a == digest_b
 
     def test_exact_mode_tie_normalized_digest_robust_across_policies(self):
         report = check_tie_robustness(
-            seed=0, days=3.0, policies=("fifo", "shuffle:1", "lifo"))
+            seed=0, days=3.0, policies=("fifo", "shuffle:1", "lifo"),
+            mission_factory=policy_factory(Scenario.of(seed=0)))
         assert report.robust, report.format()
         digests = {run.normalized_digest for run in report.runs}
         assert len(digests) == 1
 
     def test_trace_normalization_helper_stable(self):
         """normalize_tie_order on a real mission trace is idempotent."""
-        from repro.lint.determinism import build_mission
-
-        deployment = build_mission(seed=1)
+        deployment = Scenario.of(seed=1).build()
         deployment.run_days(1.0)
         lines = [record_canonical(r) for r in deployment.sim.trace.records]
         normalized = normalize_tie_order(lines)

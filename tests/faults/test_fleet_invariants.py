@@ -26,7 +26,7 @@ def mission():
     deployment = Deployment(DeploymentConfig(
         seed=5, base=base, extra_stations=18, servers=2,
         server_policy="hop", fault_plan=plan))
-    engine = apply_fault_plan(deployment, check_invariants=True)
+    engine = apply_fault_plan(deployment)
     deployment.run_days(6)
     conservation = deployment.sim.obs.finalise(deployment.sim)
     report = engine.finish()

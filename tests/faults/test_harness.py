@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core import Deployment, DeploymentConfig
-from repro.faults import FaultPlan, FaultSpec, apply_fault_plan, canonical_chaos_plan
-from repro.lint.determinism import check_determinism
+from repro.faults import (
+    FaultPlan,
+    FaultSpec,
+    Scenario,
+    apply_fault_plan,
+    canonical_chaos_plan,
+)
+from repro.lint.determinism import compare_replay, run_mission
 
 
 def _short_plan() -> FaultPlan:
@@ -34,9 +40,10 @@ class TestApplyFaultPlan:
         deployment = Deployment(config)
         other = FaultPlan(name="other", specs=[
             FaultSpec(kind="rtc-reset", station="base", at_s=10.0)])
-        engine = apply_fault_plan(deployment, other, check_invariants=False)
+        engine = apply_fault_plan(deployment, other)
         assert engine.plan.name == "other"
-        assert engine.checker is None
+        # The invariant checker only observes, so it is armed with every plan.
+        assert engine.checker is not None
 
     def test_unknown_station_rejected_at_arm_time(self):
         deployment = Deployment(DeploymentConfig(seed=1))
@@ -71,7 +78,7 @@ class TestEndToEnd:
 
     def test_fault_records_in_trace_digest_stream(self):
         deployment = Deployment(DeploymentConfig(seed=7))
-        apply_fault_plan(deployment, _short_plan(), check_invariants=False)
+        apply_fault_plan(deployment, _short_plan())
         deployment.run_days(2.0)
         faults = [r for r in deployment.sim.trace.records
                   if r.source == "faults"]
@@ -81,15 +88,17 @@ class TestEndToEnd:
 
 class TestReplayDeterminism:
     def test_same_seed_same_plan_identical_digest(self):
-        report = check_determinism(seed=5, days=2.0,
-                                   fault_plan=_short_plan().to_dict())
-        assert report.identical, report.summary()
+        scenario = Scenario.of(seed=5, days=2.0,
+                               fault_plan=_short_plan().to_dict())
+        _digest_a, lines_a = run_mission(scenario)
+        _digest_b, lines_b = run_mission(scenario)
+        report = compare_replay(5, 2.0, lines_a, lines_b)
+        assert report.ok, report.summary()
 
     def test_plan_changes_the_digest(self):
-        from repro.lint.determinism import run_mission
-        digest_plain, _ = run_mission(seed=5, days=1.0)
-        digest_faulted, _ = run_mission(seed=5, days=1.0,
-                                        fault_plan=_short_plan().to_dict())
+        digest_plain, _ = run_mission(Scenario.of(seed=5, days=1.0))
+        digest_faulted, _ = run_mission(Scenario.of(
+            seed=5, days=1.0, fault_plan=_short_plan().to_dict()))
         assert digest_plain != digest_faulted
 
     def test_canonical_chaos_plan_covers_every_kind(self):

@@ -177,7 +177,7 @@ class TestFaultGrid:
         jobs = spec.jobs()
         assert len(jobs) == 4
         assert len({j.digest for j in jobs}) == 4
-        assert sum(1 for j in jobs if j.fault_plan_json is None) == 2
+        assert sum(1 for j in jobs if j.scenario.fault_plan_json is None) == 2
 
     def test_faulted_run_carries_faults_summary(self):
         spec = SweepSpec(grid=[{}], seeds=[0], days=1.0,

@@ -58,18 +58,6 @@ class TestJsonOutput:
         assert payload["findings"] == []
         assert payload["counts"]["total"] == 0
 
-    def test_determinism_section(self, tmp_path, capsys):
-        path = write(tmp_path, "ok.py", CLEAN)
-        code = lint_main(
-            [path, "--format", "json", "--check-determinism", "--days", "0.05"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        det = payload["determinism"]
-        assert det["identical"] is True
-        assert det["digest_a"] == det["digest_b"]
-        assert len(det["digest_a"]) == 64
-
 
 class TestListRules:
     def test_lists_all_six(self, capsys):

@@ -1,8 +1,10 @@
 """Regression: same-seed missions replay bit-for-bit; different seeds don't."""
 
+from repro.cli import main as cli_main
+from repro.faults import Scenario
 from repro.lint.determinism import (
-    check_determinism,
-    main as determinism_main,
+    DeterminismReport,
+    compare_replay,
     record_canonical,
     run_mission,
     trace_digest,
@@ -11,6 +13,14 @@ from repro.sim.trace import TraceRecord
 
 #: Short but non-trivial: covers an MSP430 sampling cycle and sensor reads.
 DAYS = 0.15
+
+
+def check_determinism(seed, days):
+    """Run the same scenario twice and diff the traces."""
+    scenario = Scenario.of(seed=seed, days=days)
+    _digest_a, lines_a = run_mission(scenario)
+    _digest_b, lines_b = run_mission(scenario)
+    return compare_replay(seed, days, lines_a, lines_b)
 
 
 class TestDigest:
@@ -36,27 +46,39 @@ class TestHarness:
         assert "determinism OK" in report.summary()
 
     def test_run_mission_produces_records(self):
-        digest, lines = run_mission(seed=0, days=DAYS)
+        digest, lines = run_mission(Scenario.of(seed=0, days=DAYS))
         assert len(digest) == 64
         assert lines, "a mission this long must emit trace records"
 
     def test_different_seeds_diverge(self):
         """Sanity: the digest actually reflects the randomness, not just time."""
-        digest_a, _ = run_mission(seed=0, days=DAYS)
-        digest_b, _ = run_mission(seed=1, days=DAYS)
+        digest_a, _ = run_mission(Scenario.of(seed=0, days=DAYS))
+        digest_b, _ = run_mission(Scenario.of(seed=1, days=DAYS))
         assert digest_a != digest_b
 
     def test_main_exit_codes(self, capsys):
-        assert determinism_main(["--seed", "0", "--days", str(DAYS)]) == 0
+        # The replay's command-line entry point is ``repro-sim verify``.
+        assert cli_main(["verify", "--seed", "0", "--days", str(DAYS)]) == 0
         assert "determinism OK" in capsys.readouterr().out
+
+
+class TestVacuousReplay:
+    def test_empty_trace_is_not_a_pass(self):
+        report = compare_replay(0, 0.01, [], [])
+        assert report.identical and not report.ok
+        assert "determinism FAILED" in report.summary()
+        assert "no trace records" in report.summary()
+
+    def test_mission_too_short_to_emit_fails(self):
+        _digest, lines = run_mission(Scenario.of(seed=0, days=0.01))
+        assert lines == []
+        assert not compare_replay(0, 0.01, lines, lines).ok
 
 
 class TestDivergenceReporting:
     def test_summary_pinpoints_first_divergence(self):
         report = check_determinism(seed=0, days=DAYS)
         # Forge a diverged report from the real one to exercise the renderer.
-        from repro.lint.determinism import DeterminismReport
-
         forged = DeterminismReport(
             seed=0, days=DAYS,
             digest_a=report.digest_a,

@@ -8,12 +8,14 @@ under every policy; an intentionally order-dependent mission must fail
 
 import pytest
 
+from repro.cli import main
+from repro.faults import Scenario
 from repro.lint.findings import Severity
 from repro.lint.tie_replay import (
     DIVERGENCE_RULE,
     check_tie_robustness,
-    main,
     normalize_tie_order,
+    policy_factory,
 )
 from repro.sim import Simulation
 
@@ -168,12 +170,34 @@ class TestCanonicalMission:
         # The CI smoke runs 10 days; one day here keeps the suite quick
         # while still crossing the noon schedule boundary that produced
         # the original voltage_sample race.
-        report = check_tie_robustness(seed=0, days=1.0,
-                                      policies=("fifo", "lifo", "shuffle:1"))
+        report = check_tie_robustness(
+            seed=0, days=1.0, policies=("fifo", "lifo", "shuffle:1"),
+            mission_factory=policy_factory(Scenario.of(seed=0)))
         assert report.robust, report.format()
+
+
+class SilentMission:
+    """Emits nothing at all: every policy agrees, vacuously."""
+
+    def __init__(self, policy):
+        self.sim = Simulation(seed=0, tie_break=policy)
+
+    def run_days(self, days):
+        self.sim.run(until=days * 86400.0)
+
+
+class TestVacuousReplay:
+    def test_empty_trace_is_not_robust(self):
+        report = check_tie_robustness(days=0.01, policies=("fifo", "lifo"),
+                                      mission_factory=SilentMission)
+        assert report.divergences == ()
+        assert report.vacuous and not report.robust
+        assert "no trace records" in report.format()
 
 
 class TestMain:
     def test_exit_zero_on_robust_mission(self, capsys):
-        assert main(["--days", "0.25", "--policies", "fifo,lifo"]) == 0
+        # The tie replay's command-line entry point is ``repro-sim verify``
+        # (fifo against shuffle:1 on the scenario the flags describe).
+        assert main(["verify", "--days", "0.25"]) == 0
         assert "tie replay OK" in capsys.readouterr().out

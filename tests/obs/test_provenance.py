@@ -157,7 +157,7 @@ class TestAnomalies:
 def run_mission(days=3.0, seed=11, plan=None, tie_break="fifo"):
     deployment = Deployment(DeploymentConfig(seed=seed, tie_break=tie_break))
     if plan is not None:
-        apply_fault_plan(deployment, plan, check_invariants=False)
+        apply_fault_plan(deployment, plan)
     deployment.run_days(days)
     report = deployment.sim.obs.finalise(deployment.sim)
     return deployment, report

@@ -5,7 +5,7 @@ tree, all through ``sim.obs`` without any test-side instrumentation."""
 import pytest
 
 from repro.core import Deployment, DeploymentConfig
-from repro.obs.observability import Observability, owner_process_name
+from repro.obs.observability import owner_process_name
 from repro.sim.kernel import Simulation
 
 
@@ -95,9 +95,3 @@ class TestKernelHook:
         sim = Simulation(seed=0)
         event = sim.timeout(1.0)
         assert owner_process_name(event) == ""
-
-    def test_standalone_observability_has_no_profile(self):
-        obs = Observability()
-        assert obs.profile is None
-        obs.enable_self_profile()
-        assert obs.profile is not None and obs.kernel_active

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, scenario_from_args
+
+CHAOS_PLAN = "examples/faults/canonical_chaos.json"
 
 
 class TestParser:
@@ -105,12 +109,6 @@ class TestObservabilityCli:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_self_profile_reports_to_stderr(self, capsys):
-        assert main(["simulate", "--days", "1", "--seed", "0",
-                     "--self-profile"]) == 0
-        err = capsys.readouterr().err
-        assert "events" in err or "wall" in err.lower()
-
     def test_report_has_observability_section(self, capsys):
         assert main(["report", "--days", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -128,23 +126,38 @@ class TestFaultCli:
             {"kind": "rtc-reset", "station": "base", "at_s": at_s}]}))
         return str(path)
 
-    def test_inject_defaults_to_45_day_chaos(self):
-        args = build_parser().parse_args(["inject"])
-        assert args.days == 45.0
-        assert args.faults is None
+    def test_verify_describes_the_same_scenario_as_simulate(self):
+        # No implicit chaos plan or mission length: verify checks exactly
+        # the scenario any run command with the same flags would run.
+        flags = ["--days", "3", "--stations", "4", "--batched-sync"]
+        verify = scenario_from_args(build_parser().parse_args(["verify"] + flags))
+        simulate = scenario_from_args(
+            build_parser().parse_args(["simulate"] + flags))
+        assert verify == simulate
+        assert verify.fault_plan_json is None and verify.days == 3.0
 
     def test_inject_with_plan_exits_on_verdict(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path)
-        assert main(["inject", "--days", "2", "--seed", "4",
+        assert main(["verify", "--days", "2", "--seed", "4",
                      "--faults", plan]) == 0
         out = capsys.readouterr().out
         assert "invariants: OK" in out
         assert "rtc-reset" in out
 
+    def test_verify_writes_metrics_of_the_checked_run(self, tmp_path, capsys):
+        metrics = tmp_path / "verify.prom"
+        assert main(["verify", "--days", "2", "--seed", "4",
+                     "--faults", self.write_plan(tmp_path),
+                     "--metrics-out", str(metrics)]) == 0
+        capsys.readouterr()
+        text = metrics.read_text()
+        for family in ("faults_injected_total", "fault_recoveries_total"):
+            assert f"# TYPE {family} " in text
+
     def test_inject_report_out(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path)
         report = tmp_path / "report.txt"
-        assert main(["inject", "--days", "2", "--seed", "4", "--faults", plan,
+        assert main(["verify", "--days", "2", "--seed", "4", "--faults", plan,
                      "--report-out", str(report)]) == 0
         capsys.readouterr()
         assert "invariants: OK" in report.read_text()
@@ -221,14 +234,84 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--days", "1",
                   "--alerts", "/no/such/rules.json"])
-        assert "cannot load alert rules" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "repro-sim: cannot load alert rules" in capsys.readouterr().err
 
     def test_malformed_alert_rules_is_clean_error(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
         rules.write_text('{"rules": [{"name": "x", "type": "bogus"}]}')
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--days", "1", "--alerts", str(rules)])
-        assert "unknown type" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "unknown type" in capsys.readouterr().err
+
+
+class TestScenarioInputErrors:
+    """One validation rule for scenario inputs: every command that takes
+    a plan, rules or a station count loads and checks them once, and a
+    bad input exits 2 with a ``repro-sim: ...`` message, no traceback."""
+
+    @staticmethod
+    def bogus_plan(tmp_path):
+        path = tmp_path / "bogus.json"
+        path.write_text('{"faults": [{"kind": "meteor-strike", '
+                        '"station": "base", "at_s": 10}]}')
+        return str(path)
+
+    @staticmethod
+    def exits_2(argv, capsys, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"repro-sim: {message}" in capsys.readouterr().err
+
+    def test_missing_plan_file(self, capsys):
+        self.exits_2(["simulate", "--days", "1", "--faults", "/nonexistent.json"],
+                     capsys, "cannot load fault plan /nonexistent.json")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_unknown_fault_kind(self, tmp_path, capsys, command):
+        self.exits_2([command, "--days", "1", "--faults", self.bogus_plan(tmp_path)],
+                     capsys, "cannot load fault plan")
+
+    def test_sweep_plans_validated_before_fan_out(self, tmp_path, capsys):
+        self.exits_2(["sweep", "--days", "1", "--no-cache",
+                      "--faults", "none", "--faults", self.bogus_plan(tmp_path)],
+                     capsys, "cannot load fault plan")
+
+    def test_sweep_missing_rules_file(self, capsys):
+        self.exits_2(["sweep", "--days", "1", "--no-cache",
+                      "--alerts", "/no/such/rules.json"],
+                     capsys, "cannot load alert rules")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+    def test_single_station_rejected(self, capsys, command):
+        self.exits_2([command, "--days", "1", "--stations", "1"],
+                     capsys, "--stations must be >= 2")
+
+
+class TestVerifyCli:
+    def test_json_report_has_determinism_section(self, tmp_path, capsys):
+        report = tmp_path / "verify.json"
+        assert main(["verify", "--days", "0.05",
+                     "--report-out", str(report)]) == 0
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        assert payload["ok"] is True
+        assert payload["checks"] == {"determinism": True, "tie_replay": True,
+                                     "invariants": True}
+        det = payload["determinism"]
+        assert det["digest_a"] == det["digest_b"]
+        assert len(det["digest_a"]) == 64
+        assert payload["tie_replay"]["robust"] is True
+        assert payload["invariants"] is None  # no plan armed
+
+    def test_vacuous_mission_fails(self, capsys):
+        # 0.01 days ends before the first trace record: nothing to compare.
+        assert main(["verify", "--days", "0.01"]) == 1
+        out = capsys.readouterr().out
+        assert "no trace records" in out
+        assert "verify FAILED: determinism, tie_replay, invariants" in out
 
 
 class TestMetricsFormat:
@@ -244,7 +327,8 @@ class TestMetricsFormat:
 
 class TestProvenanceCli:
     def test_inject_prints_conservation_line(self, capsys):
-        assert main(["inject", "--days", "2", "--seed", "4"]) == 0
+        assert main(["verify", "--days", "2", "--seed", "4",
+                     "--faults", CHAOS_PLAN]) == 0
         out = capsys.readouterr().out
         assert "conservation: OK" in out
         assert "created=" in out and "archived=" in out
