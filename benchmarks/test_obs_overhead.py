@@ -1,10 +1,11 @@
 """Observability overhead guard.
 
-The default tier (metrics registry + explicit spans + trace bridge, kernel
-spans OFF) must cost the kernel hot loop less than 10% versus running with
-no Observability attached at all.  The opt-in kernel-span tier is timed
-too, but only reported — turning it on is an explicit request for
-per-event detail and is allowed to cost more.
+The default tier (metrics registry + explicit spans, kernel spans OFF;
+trace records are counted at export time, never per record) must cost
+the kernel hot loop less than 10% versus running with no Observability
+attached at all.  The opt-in kernel-span tier is timed too, but only
+reported — turning it on is an explicit request for per-event detail and
+is allowed to cost more.
 
 The provenance ledger rides the same budget: a full mission with the
 ledger subscribed must stay within 10% of the identical mission with it

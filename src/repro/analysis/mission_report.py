@@ -160,7 +160,7 @@ def _science_section(deployment) -> str:
 
 def _observability_section(deployment) -> str:
     obs = deployment.sim.obs
-    obs.collect_kernel(deployment.sim)
+    obs.collect(deployment.sim)
     lines: List[str] = []
 
     counters = [

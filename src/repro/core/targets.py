@@ -19,7 +19,7 @@ so same-seed missions replay byte-identically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.server.fleet import ServerFleet
 from repro.sim.kernel import Simulation
@@ -171,20 +171,3 @@ class FleetClient:
         """Fleet-wide total — analysis code reads this off any station."""
         return self.fleet.received_bytes(station=station, kind=kind, unique=unique)
 
-
-def make_clients(
-    sim: Simulation,
-    fleet: ServerFleet,
-    station_names: List[str],
-    policy: str = "static",
-    costs: Optional[List[float]] = None,
-    home_of: Optional[Callable[[int], int]] = None,
-) -> Dict[str, FleetClient]:
-    """One client per station, home shards spread round-robin by default."""
-    clients = {}
-    for index, name in enumerate(station_names):
-        home = home_of(index) if home_of is not None else index % len(fleet.shards)
-        clients[name] = FleetClient(
-            sim, name, fleet, policy=policy, home=home, costs=costs
-        )
-    return clients

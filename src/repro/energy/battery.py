@@ -20,7 +20,6 @@ the paper's figure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -137,45 +136,6 @@ class Battery:
             energy -= load_w * dt
         energy += source_energy_j * self.config.charge_efficiency
         return min(1.0, max(0.0, energy / self.config.capacity_j))
-
-    def time_to_soc(self, target_soc: float, load_w: float, source_w: float = 0.0) -> float:
-        """Seconds until the SoC reaches ``target_soc`` under constant powers.
-
-        Closed form: ``inf`` when the net rate points away from the target
-        (or is zero), ``0`` when already there.  The adaptive bus uses this
-        for the constant-power segments between weather re-plans; the
-        weather-driven case brackets this estimate with root-finding in
-        :meth:`repro.energy.bus.PowerBus._plan`.
-        """
-        cfg = self.config
-        delta_j = (target_soc - self.soc) * cfg.capacity_j
-        rate_w = source_w * cfg.charge_efficiency
-        if not self.is_exhausted:
-            rate_w -= load_w
-        if delta_j * rate_w > 0.0:  # moving towards the target
-            return delta_j / rate_w
-        if abs(delta_j) < 1e-12 * cfg.capacity_j:
-            return 0.0
-        return math.inf
-
-    def time_to_voltage(self, volts: float, load_w: float, source_w: float = 0.0) -> float:
-        """Seconds until the terminal voltage reaches ``volts`` (constant powers).
-
-        Inverts the affine OCV + IR model; ``inf`` when the target sits
-        above the regulator clamp or outside the reachable SoC band.
-        """
-        cfg = self.config
-        if volts >= cfg.max_terminal_voltage:
-            return math.inf
-        ir_term = (source_w - load_w) / cfg.nominal_voltage * cfg.internal_resistance
-        target_soc = (volts - ir_term - cfg.ocv_empty) / (cfg.ocv_full - cfg.ocv_empty)
-        if not 0.0 <= target_soc <= 1.0:
-            return math.inf
-        return self.time_to_soc(target_soc, load_w, source_w)
-
-    def time_to_exhaustion(self, load_w: float, source_w: float = 0.0) -> float:
-        """Seconds until brown-out under constant powers (``inf`` if never)."""
-        return self.time_to_soc(self.config.brownout_soc, load_w, source_w)
 
     # ------------------------------------------------------------------
     # Voltage model

@@ -183,10 +183,6 @@ class ResolvedFault:
     end_s: float  # == start_s for event faults
     spec: FaultSpec
 
-    @property
-    def is_window(self) -> bool:
-        return self.kind in WINDOW_KINDS
-
 
 @dataclass
 class FaultPlan:

@@ -146,24 +146,6 @@ class Histogram(Metric):
         """Average of all observed samples (0.0 when empty)."""
         return self.sum / self.count if self.count else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram of the *same bucket spec* into this one.
-
-        Bucket-wise counts, the ``+Inf`` bucket, the sample sum and the
-        sample count all add; a differing bucket spec raises — silently
-        re-binning samples would corrupt every downstream percentile.
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"histogram {self.name}: cannot merge buckets {other.buckets} "
-                f"into {self.buckets}")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.inf_count += other.inf_count
-        self.sum += other.sum
-        self.count += other.count
-
-
 class MetricsRegistry:
     """Get-or-create store of metrics keyed by name + label set.
 
@@ -235,7 +217,7 @@ class MetricsRegistry:
         self.histogram(name, buckets=buckets, **labels).observe(value)
 
     # ------------------------------------------------------------------
-    # Snapshot / merge (the fleet rollup contract)
+    # Snapshot (the fleet rollup contract)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """The registry as a JSON-safe document, in canonical order.
@@ -285,24 +267,6 @@ class MetricsRegistry:
             else:
                 raise ValueError(f"unknown metric kind {kind!r} in snapshot")
         return registry
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters add, gauges take the incoming value (callers wanting a
-        deterministic winner must order their merges — see
-        :mod:`repro.obs.rollup` for the order-independent fleet fold),
-        histograms merge bucket-wise.  Kind conflicts raise.
-        """
-        for metric in other.metrics():
-            labels = metric.label_dict()
-            if isinstance(metric, Counter):
-                self.counter(metric.name, **labels).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                self.gauge(metric.name, **labels).set(metric.value)
-            elif isinstance(metric, Histogram):
-                self.histogram(metric.name, buckets=metric.buckets,
-                               **labels).merge(metric)
 
     # ------------------------------------------------------------------
     # Reading

@@ -9,13 +9,17 @@ package directly and the layering rule (architecture.md §7) holds.
 Capability tiers, cheapest first:
 
 1. **metrics + explicit spans** — always on.  Counters/gauges fed by the
-   instrumented subsystems, plus a trace bridge counting every
-   :class:`~repro.sim.trace.TraceRecord` by source and kind.
+   instrumented subsystems; :meth:`Observability.collect` adds the kernel
+   gauges and ``trace_records_total{source,kind}`` (every
+   :class:`~repro.sim.trace.TraceRecord` counted by source and kind) at
+   export time, so no metrics code runs per record.
 2. **alerts** (``arm_alerts`` / ``--alerts``) — declarative SLO rules
    evaluated against the trace stream and settled by :meth:`finalise`.
 3. **kernel spans** (``enable_kernel_spans`` / ``--spans-out``) — one
    instant span per processed event with the owning process name and the
-   queue depth; the raw material for Chrome traces.
+   queue depth; the raw material for Chrome traces.  The kernel picks its
+   per-event observer once per ``run()`` call, so enable spans before
+   running.
 
 Everything here runs on simulated time; host-time profiling lives in the
 ``bench`` harness (``python -m bench trace``) and never enters a digest.
@@ -23,7 +27,8 @@ Everything here runs on simulated time; host-time profiling lives in the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import Counter
+from typing import TYPE_CHECKING, Optional
 
 from repro.obs.alerts import AlertEngine
 from repro.obs.metrics import MetricsRegistry
@@ -55,55 +60,24 @@ def owner_process_name(event) -> str:
 class Observability:
     """Metrics registry + span recorder + provenance ledger + alerts."""
 
-    def __init__(
-        self,
-        clock: "Optional[SimClock]" = None,
-        kernel_spans: bool = False,
-        trace_bridge: bool = True,
-        provenance: bool = True,
-    ) -> None:
+    def __init__(self, clock: "Optional[SimClock]" = None) -> None:
         self.clock = clock
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder(clock)
         #: Data-provenance ledger (artifact lifecycle accounting); shares
         #: the metrics registry so its counters ride every export.
-        self.provenance: Optional[ProvenanceLedger] = (
-            ProvenanceLedger(self.metrics) if provenance else None
-        )
+        self.provenance: Optional[ProvenanceLedger] = ProvenanceLedger(self.metrics)
         #: Alert engine armed by :meth:`arm_alerts` (None = no rules).
         self.alerts: Optional[AlertEngine] = None
-        self.kernel_spans = kernel_spans
-        #: Fast-path flag consulted when the kernel (re)selects its per-step
-        #: dispatch; True only when per-event work (kernel spans) is
-        #: actually wanted.
-        self.kernel_active = kernel_spans
-        self._trace_bridge = trace_bridge
-        #: ``(source, kind) -> Counter`` — cached trace-bridge handles.
-        self._trace_counters: dict = {}
-        #: Callbacks to re-select cached kernel dispatch when flags change
-        #: (the kernel registers :meth:`Simulation._refresh_dispatch` here,
-        #: so the run loop never re-reads ``kernel_active`` per event).
-        self._dispatch_listeners: list = []
+        #: Read by the kernel when a ``run()`` call picks its observer.
+        self.kernel_spans = False
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def _add_dispatch_listener(self, callback: Callable[[], None]) -> None:
-        self._dispatch_listeners.append(callback)
-
-    def _remove_dispatch_listener(self, callback: Callable[[], None]) -> None:
-        if callback in self._dispatch_listeners:
-            self._dispatch_listeners.remove(callback)
-
-    def _notify_dispatch(self) -> None:
-        for callback in list(self._dispatch_listeners):
-            callback()
-
     def enable_kernel_spans(self) -> None:
-        """Record an instant span for every kernel event from now on."""
+        """Record an instant span for every kernel event from the next run."""
         self.kernel_spans = True
-        self.kernel_active = True
-        self._notify_dispatch()
 
     def arm_alerts(self, rules_doc, trace) -> AlertEngine:
         """Evaluate a parsed alert-rules document against ``trace``.
@@ -124,37 +98,18 @@ class Observability:
         return self.spans.span(name, track=track, **attrs)
 
     # ------------------------------------------------------------------
-    # Trace bridge
+    # Trace subscription
     # ------------------------------------------------------------------
     def attach_trace(self, trace) -> None:
-        """Subscribe the metrics layer to a :class:`Trace`.
-
-        Every trace record increments ``trace_records_total{source,kind}``
-        — the cheap, zero-config coverage layer underneath the explicit
-        subsystem metrics.
-        """
-        if self._trace_bridge:
-            trace.subscribe(self._on_trace_record)
+        """Subscribe the provenance ledger to a :class:`Trace`."""
         if self.provenance is not None:
             self.provenance.attach(trace)
-
-    def _on_trace_record(self, record) -> None:
-        # Runs for *every* trace record — cache the counter handle per
-        # (source, kind) instead of re-resolving labels each time.
-        key = (record.source, record.kind)
-        counter = self._trace_counters.get(key)
-        if counter is None:
-            counter = self.metrics.counter(
-                "trace_records_total", source=record.source, kind=record.kind)
-            self._trace_counters[key] = counter
-        counter.inc()
 
     # ------------------------------------------------------------------
     # Kernel hook
     # ------------------------------------------------------------------
-    def kernel_step(self, event, when: float, queue_depth: int,
-                    run_callbacks: Callable[[], None]) -> None:
-        """Instrument one kernel step (called only while ``kernel_active``).
+    def kernel_step(self, event, when: float, queue_depth: int) -> None:
+        """Instrument one kernel step, just before its callbacks run.
 
         The span is recorded with the pre-callback state (owner, queue
         depth); callbacks run in zero simulated time, so kernel event
@@ -167,35 +122,52 @@ class Observability:
             when=when,
             queue_depth=queue_depth,
         )
-        run_callbacks()
 
     # ------------------------------------------------------------------
     # Export-time collection
     # ------------------------------------------------------------------
-    def collect_kernel(self, sim) -> None:
-        """Snapshot kernel health gauges from ``sim`` into the registry.
+    def collect(self, sim) -> None:
+        """Snapshot kernel gauges and trace record counts from ``sim``.
 
         Called just before an export so the dump always carries the kernel
-        family even when per-event instrumentation is off.
+        family and ``trace_records_total{source,kind}`` without any
+        per-event or per-record instrumentation.  Repeat calls raise each
+        counter to the trace's current count.
         """
         self.metrics.set_gauge("kernel_events_processed", float(sim.events_processed))
         self.metrics.set_gauge("kernel_events_scheduled", float(sim.events_scheduled))
         self.metrics.set_gauge("kernel_queue_depth", float(sim.queue_depth))
         self.metrics.set_gauge("kernel_sim_time_seconds", sim.now)
         self.metrics.set_gauge("dispatch_batches_total", float(sim.dispatch_batches))
+        self._on_trace_record(sim.trace.records)
+
+    def _on_trace_record(self, records) -> None:
+        """Raise ``trace_records_total{source,kind}`` to the counts in ``records``.
+
+        Runs once per :meth:`collect`, never per record.  The name is the
+        obs entry point that ``bench/tracer.py`` attributes host time to.
+        """
+        counts = Counter((record.source, record.kind) for record in records)
+        for (source, kind), count in counts.items():
+            counter = self.metrics.counter(
+                "trace_records_total", source=source, kind=kind)
+            counter.inc(count - counter.value)
 
     def finalise(self, sim) -> "Optional[ConservationReport]":
-        """Mission-close collection: kernel gauges, provenance, alerts.
+        """Mission-close collection: kernel gauges, record counts, provenance, alerts.
 
         Idempotent (the ledger caches its report and the alert engine
         settles once), so CLI exports and the mission report can both
-        finalise without double-counting.  Returns the conservation
-        report, or None when provenance is disabled.
+        finalise without double-counting.  Collects again after the alerts
+        settle, so the ``alert_fired`` records of end-of-run firings are
+        counted too.  Returns the conservation report, or None when
+        provenance is disabled.
         """
-        self.collect_kernel(sim)
+        self.collect(sim)
         report = None
         if self.provenance is not None:
             report = self.provenance.finish(sim.now)
         if self.alerts is not None:
             self.alerts.finish(sim.now)
+            self.collect(sim)
         return report

@@ -66,11 +66,6 @@ class FetchResult:
     #: How many previously-missing readings this session re-requested.
     rerequested: int = 0
 
-    @property
-    def missing_before(self) -> int:
-        """How many readings were outstanding when the session began."""
-        return self.missing_after + self.received_new
-
 
 class BulkFetcher:
     """Base-station side of the NACK-free protocol, with per-probe memory.

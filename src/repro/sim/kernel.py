@@ -52,8 +52,9 @@ class Simulation:
         Optional pre-built :class:`Trace`; a fresh one is created otherwise.
     obs:
         Optional pre-built :class:`~repro.obs.Observability`; a fresh one
-        (metrics + trace bridge on, kernel spans and profiling off) is
-        created otherwise.
+        (metrics on, kernel spans off) is created otherwise.  The hub is a
+        plain attribute: setting ``sim.obs = None`` disables all
+        instrumentation from the next :meth:`run` call.
     tie_break:
         How same-timestamp events are ordered.  ``"fifo"`` (default) is
         insertion order, ``"lifo"`` is reverse insertion order, and
@@ -85,7 +86,7 @@ class Simulation:
         self._stopped = False
         self.events_processed = 0
         #: Equal-timestamp groups dispatched so far.  The run loop drains
-        #: each group in one pass (one clock write, one hook check), so
+        #: each group in one pass (one clock write, one ``until`` check), so
         #: ``events_processed / dispatch_batches`` is the mean group size —
         #: exported as the ``dispatch_batches_total`` kernel gauge.
         self.dispatch_batches = 0
@@ -119,45 +120,10 @@ class Simulation:
         #: Enqueue sites then keep their inlined ``_sequence`` increment;
         #: otherwise they route through :meth:`_next_key`.
         self._tie_fast = kind == "fifo"
-        #: Cached per-step instrumentation hook: ``None`` on the fast path,
-        #: the bound ``Observability.kernel_step`` method otherwise.  Selected
-        #: once whenever the hub or its flags change — the run loop never
-        #: chases ``obs.kernel_active`` attribute chains per event.
-        self._kernel_hook: Optional[Callable] = None
-        self._obs: Optional[Observability] = None
-        self.obs = obs if obs is not None else Observability(clock=self.clock)
+        #: The observability hub (``None`` disables all instrumentation).
+        self.obs: Optional[Observability] = (
+            obs if obs is not None else Observability(clock=self.clock))
         self.obs.attach_trace(self.trace)
-
-    # ------------------------------------------------------------------
-    # Observability dispatch
-    # ------------------------------------------------------------------
-    @property
-    def obs(self) -> Optional[Observability]:
-        """The observability hub (``None`` disables all instrumentation)."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, hub: Optional[Observability]) -> None:
-        old = self._obs
-        if old is not None:
-            old._remove_dispatch_listener(self._refresh_dispatch)
-        self._obs = hub
-        if hub is not None:
-            hub._add_dispatch_listener(self._refresh_dispatch)
-        self._refresh_dispatch()
-
-    def _refresh_dispatch(self) -> None:
-        """Re-select the per-step dispatch after an observability change."""
-        hub = self._obs
-        if self._dispatch_log is not None:
-            # Tie diagnostics own the per-step hook for the whole run;
-            # diagnosis missions are dedicated, so obs kernel spans and
-            # diagnostics are never wanted at once.
-            self._kernel_hook = self._diag_step
-        elif hub is not None and hub.kernel_active:
-            self._kernel_hook = hub.kernel_step
-        else:
-            self._kernel_hook = None
 
     # ------------------------------------------------------------------
     # Time
@@ -230,17 +196,28 @@ class Simulation:
             self._site_log = {}
             self._dispatch_log = []
             self._tie_fast = False
-            self._refresh_dispatch()
         return self._dispatch_log
 
-    def _diag_step(self, event: Event, when: float, queue_len: int,
-                   run_callbacks: Callable[[], None]) -> None:
-        """Per-event hook while tie diagnostics are on."""
+    def _diag_step(self, event: Event, when: float, queue_len: int) -> None:
+        """Pre-dispatch observer while tie diagnostics are on."""
         site = self._site_log.pop(id(event), None)
         self._dispatch_log.append(
             (when, site, type(event).__name__, getattr(event, "name", ""))
         )
-        run_callbacks()
+
+    def _dispatch_hook(self) -> Optional[Callable[[Event, float, int], None]]:
+        """The pre-dispatch observer for one :meth:`run`/:meth:`step` call.
+
+        Tie diagnostics own it whenever they are on (diagnosis missions
+        are dedicated, so kernel spans are never wanted at once); then
+        kernel spans when the hub asks for them; ``None`` is the fast path.
+        """
+        if self._dispatch_log is not None:
+            return self._diag_step
+        obs = self.obs
+        if obs is not None and obs.kernel_spans:
+            return obs.kernel_step
+        return None
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -302,33 +279,22 @@ class Simulation:
         now = self.clock._now
         out: List[Timeout] = []
         append = out.append
-        if self._tie_fast:
-            seq = self._sequence
-            for delay in batch:
-                timeout = Timeout.__new__(Timeout)
-                timeout.sim = self
-                timeout._name = ""
-                timeout._callbacks = _NO_CALLBACKS
-                timeout._value = None
-                timeout._exception = None
-                timeout._defused = False
-                timeout.delay = delay
-                heappush(queue, (now + delay, seq, timeout))
-                seq += 1
-                append(timeout)
-            self._sequence = seq
-        else:
-            for delay in batch:
-                timeout = Timeout.__new__(Timeout)
-                timeout.sim = self
-                timeout._name = ""
-                timeout._callbacks = _NO_CALLBACKS
-                timeout._value = None
-                timeout._exception = None
-                timeout._defused = False
-                timeout.delay = delay
-                heappush(queue, (now + delay, self._next_key(timeout), timeout))
-                append(timeout)
+        for delay in batch:
+            timeout = Timeout.__new__(Timeout)
+            timeout.sim = self
+            timeout._name = ""
+            timeout._callbacks = _NO_CALLBACKS
+            timeout._value = None
+            timeout._exception = None
+            timeout._defused = False
+            timeout.delay = delay
+            if self._tie_fast:
+                seq = self._sequence
+                self._sequence = seq + 1
+            else:
+                seq = self._next_key(timeout)
+            heappush(queue, (now + delay, seq, timeout))
+            append(timeout)
         return out
 
     def event(self, name: str = "") -> Event:
@@ -379,11 +345,10 @@ class Simulation:
         self.clock.advance_to(when)
         self.events_processed += 1
         self.dispatch_batches += 1
-        hook = self._kernel_hook
-        if hook is None:
-            event._run_callbacks()
-        else:
-            hook(event, when, len(self._queue), event._run_callbacks)
+        hook = self._dispatch_hook()
+        if hook is not None:
+            hook(event, when, len(self._queue))
+        event._run_callbacks()
 
     def peek(self) -> float:
         """Time of the next queued event, or ``inf`` if the queue is empty."""
@@ -399,89 +364,60 @@ class Simulation:
         **Batched same-timestamp dispatch**: the loop drains each group of
         equal-``when`` events in one pass, peek-comparing the heap root
         instead of re-entering the outer loop per event, so the clock
-        write, the ``until`` comparison and the ``_kernel_hook`` read are
-        paid once per *group*.  Pop order inside a group is exactly the
-        heap order the active tie-break policy dictates, ``stop()`` is
-        honoured between any two events, and a zero-delay event scheduled
-        from inside a group joins the same group — so batched dispatch is
-        observationally identical to the one-event-at-a-time loop (the
-        races harness proves it under fifo/lifo/shuffle).  The one
-        documented coarsening: an observability flag flipped mid-group
-        takes effect from the next group, not the next event.
+        write and the ``until`` comparison are paid once per *group*.  Pop
+        order inside a group is exactly the heap order the active
+        tie-break policy dictates, ``stop()`` is honoured between any two
+        events, and a zero-delay event scheduled from inside a group joins
+        the same group — so batched dispatch is observationally identical
+        to the one-event-at-a-time loop (the races harness proves it under
+        fifo/lifo/shuffle).
+
+        The pre-dispatch observer (tie diagnostics or kernel spans, see
+        :meth:`_dispatch_hook`) is chosen once per call, so the one
+        documented coarsening: kernel spans or tie diagnostics switched on
+        from inside a running ``run()`` take effect from the next call.
         """
+        limit = _INF if until is None else until
         self._stopped = False
         queue = self._queue
         clock = self.clock
         pop = heappop
+        hook = self._dispatch_hook()
         processed = 0
         batches = 0
         try:
-            if until is None:
-                while queue and not self._stopped:
-                    when, _seq, event = pop(queue)
-                    clock._now = when  # heap order keeps this monotonic
-                    batches += 1
-                    hook = self._kernel_hook
-                    if hook is None:
-                        while True:
-                            processed += 1
-                            # Event._run_callbacks, inlined: one Python call
-                            # per event is the difference between the fast
-                            # path and a ~15% slower kernel.
-                            callbacks = event._callbacks
-                            event._callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            exc = event._exception
-                            if exc is not None and not event._defused:
-                                raise exc
-                            if self._stopped or not queue or queue[0][0] != when:
-                                break
-                            _when, _seq, event = pop(queue)
-                    else:
-                        processed += 1
-                        hook(event, when, len(queue), event._run_callbacks)
-                        while not self._stopped and queue and queue[0][0] == when:
-                            _when, _seq, event = pop(queue)
-                            processed += 1
-                            hook(event, when, len(queue), event._run_callbacks)
-            else:
-                while queue and not self._stopped:
-                    if queue[0][0] > until:
+            while queue and not self._stopped:
+                when = queue[0][0]
+                if when > limit:
+                    break
+                clock._now = when  # heap order keeps this monotonic
+                batches += 1
+                # Group members share `when`, so one limit check at the
+                # head covers the whole drain.
+                while True:
+                    _when, _seq, event = pop(queue)
+                    processed += 1
+                    if hook is not None:
+                        hook(event, when, len(queue))
+                    # Event._run_callbacks, inlined: one Python call per
+                    # event is the difference between the fast path and a
+                    # ~15% slower kernel.
+                    callbacks = event._callbacks
+                    event._callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                    exc = event._exception
+                    if exc is not None and not event._defused:
+                        raise exc
+                    if self._stopped or not queue or queue[0][0] != when:
                         break
-                    when, _seq, event = pop(queue)
-                    clock._now = when
-                    batches += 1
-                    hook = self._kernel_hook
-                    if hook is None:
-                        # Group members share `when`, so one until-check at
-                        # the head covers the whole drain.
-                        while True:
-                            processed += 1
-                            callbacks = event._callbacks
-                            event._callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            exc = event._exception
-                            if exc is not None and not event._defused:
-                                raise exc
-                            if self._stopped or not queue or queue[0][0] != when:
-                                break
-                            _when, _seq, event = pop(queue)
-                    else:
-                        processed += 1
-                        hook(event, when, len(queue), event._run_callbacks)
-                        while not self._stopped and queue and queue[0][0] == when:
-                            _when, _seq, event = pop(queue)
-                            processed += 1
-                            hook(event, when, len(queue), event._run_callbacks)
         except StopSimulation:
             return
         finally:
             self.events_processed += processed
             self.dispatch_batches += batches
-        if until is not None and not self._stopped and clock._now < until:
-            clock._now = until
+        if not self._stopped and clock._now < limit < _INF:
+            clock._now = limit
     # repro-lint note: the loop above is the system's innermost hot path —
     # keep it free of per-event allocations (no-hot-path-alloc rule).
 

@@ -48,35 +48,27 @@ class TraceRecord:
 class Trace:
     """Append-only list of :class:`TraceRecord` with query helpers.
 
-    ``enabled`` is the cached emit gate: hot callers may read it once and
-    skip building keyword payloads entirely, and :meth:`emit` itself
-    short-circuits before constructing a record.  Disabling the trace
-    changes simulated behaviour wherever log *volume* matters (staged log
-    files measure their trace slice), so the flag defaults to on and is a
-    deliberate, per-run decision.
+    Every record is kept: staged log files measure their trace slice, so
+    log *volume* is simulated behaviour, and the metrics layer counts the
+    records by source and kind at export time.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock
         self.records: List[TraceRecord] = []
-        #: Cached emit gate — see the class docstring before turning off.
-        self.enabled = True
         self._subscribers: List[Callable[[TraceRecord], None]] = []
         #: Immutable snapshot iterated per emit; rebuilt on (un)subscribe so
         #: the hot path never copies the subscriber list.
         self._subscriber_snapshot: tuple = ()
 
-    def emit(self, source: str, kind: str, **detail: Any) -> Optional[TraceRecord]:
+    def emit(self, source: str, kind: str, **detail: Any) -> TraceRecord:
         """Append a record stamped with the current simulated time.
 
-        Returns ``None`` without recording anything when the trace is
-        disabled.  A subscriber that raises does not corrupt the run: the
-        exception is captured as a ``trace.subscriber_error`` record (the
-        metrics layer subscribes here — a bad callback must not kill a
-        mission).
+        A subscriber that raises does not corrupt the run: the exception
+        is captured as a ``trace.subscriber_error`` record (the provenance
+        ledger, alerts and invariant checker subscribe here — a bad
+        callback must not kill a mission).
         """
-        if not self.enabled:
-            return None
         clock = self.clock
         time = clock._now if clock is not None else 0.0
         record = TraceRecord(time, source, kind, detail)

@@ -172,7 +172,7 @@ def run_tiny_mission(seed=7, days=1.0):
     deployment = Deployment(DeploymentConfig(seed=seed))
     deployment.sim.obs.enable_kernel_spans()
     deployment.run_days(days)
-    deployment.sim.obs.collect_kernel(deployment.sim)
+    deployment.sim.obs.collect(deployment.sim)
     return deployment.sim.obs
 
 

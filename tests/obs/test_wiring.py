@@ -2,18 +2,37 @@
 ISSUE promises (energy, power state, comms, kernel) and a sensible span
 tree, all through ``sim.obs`` without any test-side instrumentation."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core import Deployment, DeploymentConfig
+from repro.faults import Scenario
 from repro.obs.observability import owner_process_name
 from repro.sim.kernel import Simulation
 
+#: Ends off any sampling instant, so no record lands exactly at the end.
+DAYS = 2.9999
+
+#: Nothing ever emits from ``nowhere``, so this absence rule's first gap
+#: spans the whole mission and is closed out only by ``finalise``.
+SILENT_ALL_MISSION = {"rules": [
+    {"name": "silent", "type": "absence",
+     "signal": {"source": "nowhere", "kind": "ping"},
+     "window_s": DAYS * 86400.0},
+]}
+
 
 @pytest.fixture(scope="module")
-def obs():
-    deployment = Deployment(DeploymentConfig(seed=3))
-    deployment.run_days(3.0)
-    deployment.sim.obs.collect_kernel(deployment.sim)
+def deployment():
+    deployment = Scenario.of(seed=3, days=DAYS,
+                             alert_rules=SILENT_ALL_MISSION).build()
+    deployment.run_days(DAYS)
+    deployment.sim.obs.finalise(deployment.sim)
+    return deployment
+
+
+@pytest.fixture(scope="module")
+def obs(deployment):
     return deployment.sim.obs
 
 
@@ -41,12 +60,19 @@ class TestMetricFamilies:
         assert 0 < processed <= scheduled
         assert obs.metrics.gauge("kernel_sim_time_seconds").value > 0
 
-    def test_trace_bridge_counts_every_record(self, obs):
-        totals = [
-            m.value for m in obs.metrics.metrics()
+    def test_trace_bridge_counts_every_record(self, deployment, obs):
+        records = deployment.sim.trace.records
+        # The premise: the absence rule fired at finish, after the run.
+        (firing,) = obs.alerts.firings
+        assert firing.time == deployment.sim.now
+        assert records[-1].kind == "alert_fired"
+        assert not any(r.kind == "alert_fired" for r in records[:-1])
+        counted = {
+            (m.label_dict()["source"], m.label_dict()["kind"]): m.value
+            for m in obs.metrics.metrics()
             if m.name == "trace_records_total"
-        ]
-        assert sum(totals) > 0
+        }
+        assert counted == Counter((r.source, r.kind) for r in records)
 
     def test_server_family(self, obs):
         by_kind = {
@@ -76,7 +102,11 @@ class TestSpanTree:
 class TestKernelHook:
     def test_kernel_spans_off_by_default(self):
         sim = Simulation(seed=0)
-        assert sim.obs.kernel_active is False
+        sim.timeout(1.0)
+        sim.run(until=2.0)
+        assert sim.events_processed == 1
+        assert len(sim.obs.spans) == 0
+        assert sim.obs.metrics.kind_of("kernel_events_total") is None
 
     def test_kernel_spans_record_instants(self):
         sim = Simulation(seed=0)

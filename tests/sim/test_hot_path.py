@@ -207,7 +207,8 @@ class TestDispatchRefresh:
     def test_obs_replacement_refreshes_dispatch(self, sim):
         from repro.obs import Observability
 
-        hub = Observability(clock=sim.clock, kernel_spans=True)
+        hub = Observability(clock=sim.clock)
+        hub.enable_kernel_spans()
         sim.obs = hub
         sim.timeout(1.0)
         sim.run(until=2.0)
@@ -223,5 +224,8 @@ class TestDispatchRefresh:
     def test_stale_hub_stops_driving_dispatch(self, sim):
         old = sim.obs
         sim.obs = None
-        old.enable_kernel_spans()  # listener was detached with the swap
-        assert sim._kernel_hook is None
+        old.enable_kernel_spans()  # the detached hub no longer drives dispatch
+        sim.timeout(1.0)
+        sim.run(until=2.0)
+        assert sim.events_processed == 1
+        assert len(old.spans) == 0
