@@ -111,7 +111,6 @@ def mission(provenance: bool) -> Deployment:
     deployment = Deployment(DeploymentConfig(seed=MISSION_SEED))
     if not provenance:
         deployment.sim.obs.provenance.detach()
-        deployment.sim.obs.provenance = None
     deployment.run_days(MISSION_DAYS)
     return deployment
 

@@ -201,10 +201,7 @@ def _observability_section(deployment) -> str:
 
 
 def _provenance_section(deployment) -> str:
-    obs = deployment.sim.obs
-    if obs.provenance is None:
-        return "Data provenance\n  disabled"
-    report = obs.provenance.finish(deployment.sim.now)
+    report = deployment.sim.obs.provenance.finish(deployment.sim.now)
     return "Data provenance\n" + "\n".join(
         f"  {line}" for line in report.format().splitlines())
 

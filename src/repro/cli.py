@@ -208,23 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the streaming campaign metric rollup "
                             "(canonical JSON, byte-identical across --jobs "
                             "and cache states)")
-    sweep.add_argument("--backend", choices=("pool", "shared-dir"),
-                       default="pool",
-                       help="execution backend: 'pool' (local warm-worker "
-                            "pool, default) or 'shared-dir' (cooperatively "
-                            "drain a shared --work-dir with other hosts)")
     sweep.add_argument("--chunk-size", type=int, default=None, metavar="N",
                        help="jobs per worker batch (default: adaptive from "
-                            "measured run wall time; for shared-dir, the "
+                            "measured run wall time; with --work-dir, the "
                             "claim-block size fixed at campaign creation)")
     sweep.add_argument("--work-dir", metavar="DIR", default=None,
                        help="shared campaign directory (manifest + claims + "
-                            "cache); required by --backend shared-dir")
+                            "cache): drain it cooperatively with any other "
+                            "hosts sweeping the same directory")
     sweep.add_argument("--progress", action="store_true",
                        help="print a periodic runs/s progress line to stderr")
     sweep.add_argument("--stale-claim-s", type=float, default=None,
                        metavar="SECONDS",
-                       help="shared-dir only: steal another drainer's claim "
+                       help="--work-dir only: steal another drainer's claim "
                             "once this old if its block is still incomplete "
                             "(default: 300)")
     sweep.add_argument("--cache-gc", action="store_true",
@@ -522,23 +518,19 @@ def _cmd_sweep(args) -> int:
         if args.no_cache:
             raise SystemExit("--cache-gc and --no-cache are contradictory")
         gc_root = args.cache_dir
-        if args.backend == "shared-dir":
+        if args.work_dir is not None:
             import os
 
             from repro.fleet.executor import CACHE_DIR
 
-            if not args.work_dir:
-                raise SystemExit("--backend shared-dir requires --work-dir")
             gc_root = os.path.join(args.work_dir, CACHE_DIR)
         report = SweepCache(gc_root).gc()
         print(report.format(), file=sys.stderr)
         return 0
     cache = None
-    if args.backend == "shared-dir":
-        if not args.work_dir:
-            raise SystemExit("--backend shared-dir requires --work-dir")
+    if args.work_dir is not None:
         if args.no_cache:
-            raise SystemExit("--backend shared-dir needs the cache "
+            raise SystemExit("--work-dir needs the cache "
                              "(--no-cache is contradictory)")
     elif not args.no_cache:
         cache = SweepCache(args.cache_dir)
@@ -547,7 +539,7 @@ def _cmd_sweep(args) -> int:
         def progress(line: str) -> None:
             print(line, file=sys.stderr)
     result = run_sweep(spec, jobs=args.jobs, cache=cache,
-                       backend=args.backend, chunk_size=args.chunk_size,
+                       chunk_size=args.chunk_size,
                        work_dir=args.work_dir, progress=progress,
                        stale_claim_s=args.stale_claim_s)
     text = sweep_to_json(result)

@@ -5,8 +5,9 @@ run across a grid of station configurations and seeds.  Each run is
 deterministic given ``(config, seed)``, so its summary is a pure function
 of its inputs — which makes three things cheap:
 
-- **parallelism**: runs share nothing, so warm pool workers drain them
-  in adaptively-sized chunks behind a bounded in-flight window
+- **parallelism**: runs share nothing, so one dispatch loop runs them
+  in adaptively-sized chunks — in-process for one job, otherwise on warm
+  pool workers behind a bounded in-flight window
   (:func:`repro.fleet.runner.run_sweep`,
   :mod:`repro.fleet.executor`);
 - **caching**: a finished run's summary is stored under a digest of
@@ -15,11 +16,12 @@ of its inputs — which makes three things cheap:
   containing the same point (:class:`repro.fleet.cache.SweepCache`);
 - **work sharing**: because completion is just "the cache entry exists",
   several hosts can drain one campaign cooperatively and resumably over
-  a shared work directory (``backend="shared-dir"``).
+  a shared work directory (``work_dir=...``).
 
 Merged sweep output is ordered by ``(config digest, fault plan, seed)``
 — never by completion order — so a sweep's JSON is byte-identical
-regardless of worker count, chunk size, backend, or cache state.
+regardless of worker count, chunk size, shared-dir drainers, or cache
+state.
 
 The runner also maintains a streaming campaign rollup: workers fold
 their chunk's metric snapshots into a local

@@ -1,39 +1,37 @@
-"""Scale-out sweep execution: chunked warm workers and shared-dir draining.
+"""Sweep execution: one chunked dispatch loop and shared-dir draining.
 
-``repro.fleet.runner`` used to submit one pool future per job and funnel
-every cache read/write and rollup fold through the parent process.  Once
-runs are milliseconds that parent-side work is pure Amdahl overhead —
-the workers idle while the parent pickles snapshots, writes cache
-entries, and folds registries one run at a time.  This module inverts
-the shape:
+Every sweep path runs its jobs through :func:`run_chunked_pool`, which
+hands chunks to :func:`run_chunk` — in-process when ``workers <= 1``,
+otherwise in warm pool workers:
 
-- **Chunked dispatch** — jobs ship to workers in batches, amortising the
+- **Chunked dispatch** — jobs run in batches, amortising the
   pickle/IPC/scheduling cost per chunk.  Chunk size adapts to measured
-  run wall time (:class:`ChunkSizer`) and the submit loop keeps a
+  run wall time (:class:`ChunkSizer`) and the pool loop keeps a
   bounded in-flight window instead of materialising every future up
   front, so a million-job campaign holds O(window) futures and a kill
   leaves a cleanly resumable cache.
-- **Worker-side cache I/O** — :func:`run_chunk` loads and atomically
-  stores cache entries inside the worker (the ``os.replace`` layout is
+- **Chunk-side cache I/O** — :func:`run_chunk` loads and atomically
+  stores cache entries where it runs (the ``os.replace`` layout is
   concurrency-safe), so summaries never round-trip through the parent
   just to reach disk.
-- **Partial-rollup shipping** — each worker folds its chunk's metric
-  snapshots into a local :class:`~repro.obs.rollup.RollupAggregate` and
-  returns one lossless partial (raw Shewchuk partials, see
+- **Partial-rollup shipping** — each chunk folds its metric snapshots
+  into a local :class:`~repro.obs.rollup.RollupAggregate` and returns
+  one lossless partial (raw Shewchuk partials, see
   ``rollup.to_partial_doc``) plus metric-stripped run records.  The
   parent's fold cost collapses from O(runs) registry folds to O(chunks)
   partial merges, and per-run IPC payloads shrink by an order of
   magnitude.
 - **Shared-dir work sharing** — a campaign manifest plus an atomic
   claim-file protocol over a shared directory lets several hosts drain
-  one sweep cooperatively and resumably (:func:`drain_shared_dir`).
-  Claims are an *optimisation*, not a lock: results are deterministic
-  and cache stores are atomic, so the rare double-computed block is
-  harmless.
+  one sweep cooperatively and resumably (:func:`drain_shared_dir`, which
+  feeds its claimed blocks through the same dispatch loop).  Claims are
+  an *optimisation*, not a lock: results are deterministic and cache
+  stores are atomic, so the rare double-computed block is harmless.
 
-Byte-identical sweep output across ``--jobs``, chunk sizes, backends,
-and completion order stays the hard contract; every path funnels through
-the same record builder and exact, order-independent rollup folds.
+Byte-identical sweep output across ``--jobs``, chunk sizes, shared-dir
+drainers, and completion order stays the hard contract; every path
+funnels through the same record builder and exact, order-independent
+rollup folds.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ def _warm_worker() -> None:
 
 def run_chunk(chunk: Sequence[Any], cache_root: Optional[str],
               collect_rollup: bool = True) -> Dict[str, Any]:
-    """Execute one batch of jobs inside a worker (the chunk entry point).
+    """Execute one batch of jobs, in a pool worker or in-process.
 
     For every job: probe the cache, run on a miss, store atomically,
     fold the metrics snapshot into a chunk-local rollup, and keep a
@@ -195,20 +193,29 @@ def run_chunked_pool(
     window: Optional[int] = None,
     pool_factory: Callable[..., Any] = ProcessPoolExecutor,
 ) -> None:
-    """Drain ``pending`` through warm pool workers in bounded chunks.
+    """Drain ``pending`` through :func:`run_chunk`, one chunk at a time.
 
-    At most ``window`` (default ``2 * workers``) chunk futures exist at
-    any moment — the job stream is consumed lazily, so memory is
+    The one place a sweep runs a chunk.  With ``workers <= 1`` each chunk
+    runs in-process (no pool, no pickling — the path coverage tools and
+    debuggers see).  Otherwise chunks go to warm pool workers and at most
+    ``window`` (default ``2 * workers``) chunk futures exist at any
+    moment — the job stream is consumed lazily, so memory is
     O(window x chunk), not O(jobs), and an interrupt abandons only the
     in-flight chunks (everything stored so far is already in the cache).
     ``absorb`` runs in the parent for each completed chunk, in completion
     order; output determinism comes from the merge keys, not arrival.
     """
     sizer = ChunkSizer(chunk_size)
+    chunks = iter_chunks(pending, sizer)
+    if workers <= 1:
+        for chunk in chunks:
+            out = run_chunk(chunk, cache_root, collect_rollup)
+            sizer.observe(len(chunk), out["wall_s"])
+            absorb(out)
+        return
     if window is None:
         window = 2 * workers
     window = max(1, window)
-    chunks = iter_chunks(pending, sizer)
     in_flight: Dict[Any, int] = {}
     with pool_factory(max_workers=workers, initializer=_warm_worker) as pool:
         def fill() -> None:
@@ -232,7 +239,7 @@ def run_chunked_pool(
 
 
 # ----------------------------------------------------------------------
-# Shared-dir backend: manifest + claim files over one directory
+# Shared-dir draining: manifest + claim files over one directory
 # ----------------------------------------------------------------------
 def manifest_doc(spec: Any, block_size: int = DEFAULT_BLOCK_SIZE) -> Dict[str, Any]:
     """The canonical manifest document for ``spec``.
@@ -373,29 +380,33 @@ class ClaimStore:
 def drain_shared_dir(
     work_dir: str,
     *,
+    absorb: Callable[[Dict[str, Any]], None],
     workers: int = 1,
-    chunk_size: Optional[int] = None,
     stale_claim_s: float = DEFAULT_STALE_CLAIM_S,
     poll_s: float = 0.2,
     collect_rollup: bool = True,
-    absorb: Optional[Callable[[Dict[str, Any]], None]] = None,
     pool_factory: Callable[..., Any] = ProcessPoolExecutor,
     owner: Optional[str] = None,
 ) -> List[Any]:
     """Cooperatively drain the campaign under ``work_dir`` to completion.
 
-    Walks the manifest's claim blocks, claims and runs the incomplete
-    ones (through a local warm-worker pool when ``workers > 1``), and
-    polls blocks held by other drainers until every job's cache entry
-    exists.  Safe to run concurrently on any number of hosts sharing the
+    Each pass streams the blocks this drainer can claim through
+    :func:`run_chunked_pool`, cut at the manifest's block size — every
+    block but the last is full, so chunks coincide with blocks, and a
+    block is claimed only when a window slot frees to run it.  Blocks
+    held by other drainers are re-probed every ``poll_s`` (and stolen
+    once their claim goes stale) until every job's cache entry exists.
+    Safe to run concurrently on any number of hosts sharing the
     directory, and safe to kill and re-run: completed work is judged
     purely by cache presence.
 
-    ``absorb`` (if given) sees each chunk result *this* drainer computed
-    or loaded — other drainers' blocks never transit this process.
-    Returns the full deterministic job list so the caller can assemble
-    the sweep from the shared cache.
+    ``absorb`` sees each chunk result *this* drainer computed or loaded —
+    other drainers' blocks never transit this process.  Returns the full
+    deterministic job list so the caller can assemble the sweep from the
+    shared cache.
     """
+    import time
+
     doc = load_manifest(work_dir)
     spec = manifest_spec(doc)
     block_size = int(doc["block_size"])
@@ -408,69 +419,29 @@ def drain_shared_dir(
         owner = f"{socket.gethostname()}:{os.getpid()}"
     claims = ClaimStore(work_dir, owner, stale_after_s=stale_claim_s)
     blocks = [jobs[i:i + block_size] for i in range(0, len(jobs), block_size)]
+    # Blocks found complete in the cache, or claimed (hence run) here.
     done: set = set()
-    claimed_by_us: set = set()
-    in_flight: Dict[Any, int] = {}
-    window = max(1, 2 * workers)
-    pool = pool_factory(max_workers=workers, initializer=_warm_worker) \
-        if workers > 1 else None
 
-    def block_complete(index: int) -> bool:
-        if index in done:
-            return True
-        if all(cache.contains(job.digest) for job in blocks[index]):
+    def incomplete(index: int) -> bool:
+        if index not in done and all(cache.contains(job.digest)
+                                     for job in blocks[index]):
             done.add(index)
-            return True
-        return False
+        return index not in done
 
-    def absorb_future(future: Any, index: int) -> None:
-        out = future.result()
-        if absorb is not None:
-            absorb(out)
-        done.add(index)
+    def claimed_jobs() -> Iterator[Any]:
+        for index, block in enumerate(blocks):
+            if incomplete(index) and claims.try_claim(index):
+                done.add(index)
+                yield from block
 
-    import time
-
-    try:
-        while True:
-            progressed = False
-            if pool is not None and in_flight:
-                finished, _ = wait(set(in_flight), timeout=0.0)
-                for future in finished:
-                    absorb_future(future, in_flight.pop(future))
-                    progressed = True
-            for index in range(len(blocks)):
-                if pool is not None and len(in_flight) >= window:
-                    break
-                if index in claimed_by_us or block_complete(index):
-                    continue
-                if not claims.try_claim(index):
-                    continue
-                claimed_by_us.add(index)
-                if pool is not None:
-                    future = pool.submit(run_chunk, blocks[index], cache_root,
-                                         collect_rollup)
-                    in_flight[future] = index
-                else:
-                    out = run_chunk(blocks[index], cache_root, collect_rollup)
-                    if absorb is not None:
-                        absorb(out)
-                    done.add(index)
-                progressed = True
-            if len(done) == len(blocks) and not in_flight:
-                break
-            if not progressed:
-                if in_flight:
-                    finished, _ = wait(set(in_flight),
-                                       return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        absorb_future(future, in_flight.pop(future))
-                else:
-                    # Every incomplete block is claimed by a live drainer
-                    # elsewhere; wait for its cache entries to land (or
-                    # for the claim to go stale and become stealable).
-                    time.sleep(poll_s)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return jobs
+    while True:
+        run_chunked_pool(claimed_jobs(), workers=workers,
+                         cache_root=cache_root, absorb=absorb,
+                         collect_rollup=collect_rollup,
+                         chunk_size=block_size, pool_factory=pool_factory)
+        if not any(incomplete(index) for index in range(len(blocks))):
+            return jobs
+        # Every incomplete block is claimed by a live drainer elsewhere;
+        # wait for its cache entries to land (or for the claim to go
+        # stale and become stealable).
+        time.sleep(poll_s)

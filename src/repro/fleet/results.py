@@ -29,26 +29,22 @@ class SweepResult:
     snapshots into as futures complete; it has its own canonical JSON
     (``--rollup-out``) and never enters the sweep JSON.
 
-    The executor-accounting fields quantify the scale-out engine and
-    back the sweep-scale benchmark's deterministic gates; like the cache
-    counters they never enter the sweep JSON.  ``chunks_dispatched``
-    counts worker batches; ``parent_folds`` counts parent-side rollup
-    fold operations (per-chunk partial merges plus per-hit folds of
-    parent-side cache hits); ``ipc_payload_bytes`` totals the
-    canonical-JSON size of what actually crossed the worker→parent
-    boundary.  ``telemetry`` is a parent-side
-    :class:`~repro.obs.metrics.MetricsRegistry` holding the sweep's own
-    observability counters (``sweep_chunks_dispatched_total``,
-    ``sweep_worker_cache_hits_total{where=worker|parent}``) — about the
-    sweep machinery, deliberately separate from the simulated-world
-    rollup.
+    The executor-accounting fields quantify the chunked dispatch loop
+    and back the sweep-scale benchmark's deterministic gates; like the
+    cache counters they never enter the sweep JSON.  ``chunks_dispatched``
+    counts chunks run through :func:`~repro.fleet.executor.run_chunk`;
+    ``parent_folds`` counts parent-side rollup fold operations (per-chunk
+    partial merges plus per-hit folds of parent-side cache hits);
+    ``ipc_payload_bytes`` totals the canonical-JSON size of the chunk
+    results handed back to the parent (what crosses the worker→parent
+    boundary when a pool runs them).  All three count in-process chunks
+    too, so a ``--jobs 1`` cold sweep reports them non-zero.
     """
 
     runs: List[Dict[str, Any]] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     rollup: Optional[Any] = None
-    telemetry: Optional[Any] = None
     chunks_dispatched: int = 0
     parent_folds: int = 0
     ipc_payload_bytes: int = 0

@@ -2,23 +2,23 @@
 
 Each grid point is an independent deployment — no shared state, no
 ordering constraints — so the runner is a map over jobs with a cache
-lookup in front.  Execution is delegated to a pluggable executor
-(:mod:`repro.fleet.executor`):
+lookup in front.  Every job the runner must compute runs through the
+one chunked dispatch loop, :func:`repro.fleet.executor.run_chunked_pool`:
 
-- ``backend="pool"`` (default) — jobs the parent's cache probe can't
-  satisfy ship to warm pool workers in adaptive chunks; workers do their
-  own cache loads and atomic stores and return stripped records plus one
-  lossless partial rollup per chunk.  Parent-side cache hits are still
-  loaded in the parent (a hit is one JSON read — cheaper than a pool
-  round-trip), which keeps fully-warm sweeps as fast as ever.
-- ``backend="shared-dir"`` — several hosts drain one campaign manifest
-  cooperatively through an atomic claim-file protocol over a shared work
-  directory; every drainer assembles the identical sweep from the shared
-  cache when the campaign completes.
+- without ``work_dir`` — jobs the parent's cache probe can't satisfy go
+  to :func:`~repro.fleet.executor.run_chunk` in adaptive chunks
+  (in-process for ``--jobs 1``, warm pool workers otherwise), which do
+  their own cache loads and atomic stores and return stripped records
+  plus one lossless partial rollup per chunk.  Parent-side cache hits
+  are loaded in the parent (a hit is one JSON read — cheaper than a
+  chunk round-trip), which keeps fully-warm sweeps as fast as ever.
+- with ``work_dir`` (shared-dir) — several hosts drain one campaign
+  manifest cooperatively through an atomic claim-file protocol over a
+  shared work directory; every drainer assembles the identical sweep
+  from the shared cache when the campaign completes.
 
-``--jobs 1`` runs in-process; the output is byte-identical across jobs,
-chunk sizes, and backends because
-:func:`repro.fleet.results.merge_runs` orders by
+The output is byte-identical across jobs, chunk sizes, and shared-dir
+drainers because :func:`repro.fleet.results.merge_runs` orders by
 ``(config_digest, fault plan, seed)`` and every rollup fold is exact and
 order-independent.
 """
@@ -26,6 +26,7 @@ order-independent.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -40,6 +41,14 @@ from typing import (
 from repro.core.deployment import Deployment
 from repro.faults.scenario import Scenario, canonical_json, check_overrides
 from repro.fleet.cache import SweepCache, config_digest, job_digest
+from repro.fleet.executor import (
+    CACHE_DIR,
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_STALE_CLAIM_S,
+    drain_shared_dir,
+    ensure_manifest,
+    run_chunked_pool,
+)
 from repro.fleet.results import SweepResult
 
 
@@ -145,8 +154,7 @@ def run_job(job: SweepJob) -> Dict[str, Any]:
             "resolved": len(report.resolved),
             "pending": len(report.pending),
         }
-    if conservation is not None:
-        summary["provenance"] = conservation.to_dict()
+    summary["provenance"] = conservation.to_dict()
     if obs.alerts is not None:
         summary["alerts"] = obs.alerts.summary()
     # The full registry snapshot rides in the summary so cache hits can be
@@ -283,25 +291,17 @@ class SweepProgress:
                 f"({rate:.0f} runs/s, {elapsed:.1f}s elapsed)")
 
 
-def _chunk_absorber(result: SweepResult, where: str,
+def _chunk_absorber(result: SweepResult,
                     progress: Optional[SweepProgress],
-                    fold_partials: bool = True,
                     keep_records: bool = True) -> Callable[[Dict[str, Any]], None]:
-    """Build the parent-side sink for completed worker chunks."""
+    """Build the parent-side sink for completed chunks."""
 
     def absorb_chunk(out: Dict[str, Any]) -> None:
         result.chunks_dispatched += 1
         result.ipc_payload_bytes += out.get("payload_bytes", 0)
         result.cache_hits += out.get("hits", 0)
         result.cache_misses += out.get("misses", 0)
-        if result.telemetry is not None:
-            result.telemetry.inc("sweep_chunks_dispatched_total")
-            hits = out.get("hits", 0)
-            if hits:
-                result.telemetry.inc("sweep_worker_cache_hits_total",
-                                     amount=hits, where=where)
-        if fold_partials and out.get("rollup") is not None \
-                and result.rollup is not None:
+        if out.get("rollup") is not None and result.rollup is not None:
             result.rollup.absorb_partial(out["rollup"])
             result.parent_folds += 1
         if keep_records:
@@ -317,52 +317,47 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[SweepCache] = None,
     *,
-    backend: str = "pool",
     chunk_size: Optional[int] = None,
     work_dir: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     stale_claim_s: Optional[float] = None,
-    pool_factory: Optional[Callable[..., Any]] = None,
+    pool_factory: Callable[..., Any] = ProcessPoolExecutor,
 ) -> SweepResult:
     """Run every grid point, using ``cache`` and up to ``jobs`` workers.
 
-    ``backend="pool"``: cache hits the parent's stat-probe finds are
-    loaded parent-side and never reach the pool; misses ship to warm
-    workers in bounded chunks (``chunk_size=None`` adapts to measured run
-    wall time).  With ``jobs <= 1`` the misses run in-process (no pool,
-    no pickling), which is also the path coverage tools and debuggers
-    see.
+    Without ``work_dir``: cache hits the parent's stat-probe finds are
+    loaded parent-side and never reach a chunk; misses run in bounded
+    chunks (``chunk_size=None`` adapts to measured run wall time) —
+    in-process when ``jobs <= 1`` (no pool, no pickling), otherwise in
+    warm pool workers.
 
-    ``backend="shared-dir"``: ``work_dir`` hosts a campaign manifest, a
-    claim directory, and the shared cache; this invocation drains
-    whatever blocks it can claim (alongside any other drainers on the
-    same directory), waits for the rest, and assembles the full sweep
+    With ``work_dir`` (shared-dir): the directory hosts a campaign
+    manifest, a claim directory, and the shared cache; this invocation
+    drains whatever blocks it can claim (alongside any other drainers on
+    the same directory), waits for the rest, and assembles the full sweep
     from the shared cache — identical bytes on every drainer.
-    ``stale_claim_s`` tunes how quickly a killed drainer's claims are
-    stolen.
+    ``chunk_size`` fixes the claim-block size when the campaign is
+    created; ``stale_claim_s`` tunes how quickly a killed drainer's
+    claims are stolen.
 
     ``progress`` is an optional line sink (the CLI's ``--progress``)
     for periodic runs/s reporting.
     """
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.rollup import RollupAggregate
 
-    result = SweepResult(rollup=RollupAggregate(), telemetry=MetricsRegistry())
+    result = SweepResult(rollup=RollupAggregate())
     reporter = (SweepProgress(progress, total=spec.total_jobs())
                 if progress is not None else None)
 
-    if backend == "shared-dir":
+    if work_dir is not None:
         _run_shared_dir(spec, result, jobs=jobs, work_dir=work_dir,
                         cache=cache, chunk_size=chunk_size,
                         stale_claim_s=stale_claim_s, reporter=reporter,
                         pool_factory=pool_factory)
-    elif backend == "pool":
+    else:
         _run_pool(spec, result, jobs=jobs, cache=cache,
                   chunk_size=chunk_size, reporter=reporter,
                   pool_factory=pool_factory)
-    else:
-        raise ValueError(f"unknown sweep backend {backend!r} "
-                         f"(expected 'pool' or 'shared-dir')")
     if reporter is not None:
         reporter.finish()
     return result
@@ -371,25 +366,19 @@ def run_sweep(
 def _run_pool(spec: SweepSpec, result: SweepResult, *, jobs: int,
               cache: Optional[SweepCache], chunk_size: Optional[int],
               reporter: Optional[SweepProgress],
-              pool_factory: Optional[Callable[..., Any]]) -> None:
-    from repro.fleet import executor
-
-    parent_hits = 0
-
+              pool_factory: Callable[..., Any]) -> None:
     def pending() -> Iterator[SweepJob]:
         """Jobs the parent-side cache could not satisfy, lazily.
 
         Hits are loaded and folded right here — one JSON read, strictly
-        cheaper than any pool round-trip, so a hot cache never touches
-        the pool.  Workers
-        re-probe misses anyway (shared caches can fill underneath us).
+        cheaper than any chunk round-trip, so a hot cache never opens
+        the pool.  Chunks re-probe misses anyway (shared caches can fill
+        underneath us).
         """
-        nonlocal parent_hits
         for job in spec.iter_jobs():
             if cache is not None:
                 summary = cache.load(job.digest)
                 if summary is not None:
-                    parent_hits += 1
                     result.cache_hits += 1
                     _absorb(result, job, summary)
                     if reporter is not None:
@@ -397,76 +386,46 @@ def _run_pool(spec: SweepSpec, result: SweepResult, *, jobs: int,
                     continue
             yield job
 
-    if jobs <= 1:
-        for job in pending():
-            summary = run_job(job)
-            if cache is not None:
-                cache.store(job.digest, summary)
-            result.cache_misses += 1
-            _absorb(result, job, summary)
-            if reporter is not None:
-                reporter.advance(1)
-    else:
-        absorb = _chunk_absorber(result, where="worker", progress=reporter)
-        kwargs: Dict[str, Any] = {}
-        if pool_factory is not None:
-            kwargs["pool_factory"] = pool_factory
-        executor.run_chunked_pool(
-            pending(),
-            workers=jobs,
-            cache_root=cache.root if cache is not None else None,
-            absorb=absorb,
-            chunk_size=chunk_size,
-            **kwargs,
-        )
-    # Hit-loop telemetry is batched to one inc — per-hit counter lookups
-    # would tax exactly the warm path the parent-side load keeps fast.
-    if result.telemetry is not None and parent_hits:
-        result.telemetry.inc("sweep_worker_cache_hits_total",
-                             amount=parent_hits, where="parent")
+    run_chunked_pool(
+        pending(),
+        workers=jobs,
+        cache_root=cache.root if cache is not None else None,
+        absorb=_chunk_absorber(result, progress=reporter),
+        chunk_size=chunk_size,
+        pool_factory=pool_factory,
+    )
 
 
 def _run_shared_dir(spec: SweepSpec, result: SweepResult, *, jobs: int,
-                    work_dir: Optional[str], cache: Optional[SweepCache],
+                    work_dir: str, cache: Optional[SweepCache],
                     chunk_size: Optional[int],
                     stale_claim_s: Optional[float],
                     reporter: Optional[SweepProgress],
-                    pool_factory: Optional[Callable[..., Any]]) -> None:
+                    pool_factory: Callable[..., Any]) -> None:
     import os
 
-    from repro.fleet import executor
-
-    if work_dir is None:
-        raise ValueError("backend='shared-dir' requires work_dir")
     if cache is not None:
         raise ValueError(
-            "backend='shared-dir' manages its own cache under work_dir; "
+            "a shared-dir sweep manages its own cache under work_dir; "
             "do not pass one")
-    executor.ensure_manifest(
-        work_dir, spec,
-        block_size=chunk_size or executor.DEFAULT_BLOCK_SIZE)
+    ensure_manifest(work_dir, spec, block_size=chunk_size or DEFAULT_BLOCK_SIZE)
     # Drain-phase chunk results are used for *accounting only* — records
     # and rollup folds come from the deterministic assembly below, so
-    # workers skip partial building and the parent drops their records.
-    absorb = _chunk_absorber(result, where="worker", progress=reporter,
-                             fold_partials=False, keep_records=False)
-    kwargs: Dict[str, Any] = {}
-    if stale_claim_s is not None:
-        kwargs["stale_claim_s"] = stale_claim_s
-    if pool_factory is not None:
-        kwargs["pool_factory"] = pool_factory
-    all_jobs = executor.drain_shared_dir(
+    # chunks skip partial building and the parent drops their records.
+    all_jobs = drain_shared_dir(
         work_dir,
         workers=jobs,
+        stale_claim_s=(DEFAULT_STALE_CLAIM_S if stale_claim_s is None
+                       else stale_claim_s),
         collect_rollup=False,
-        absorb=absorb,
-        **kwargs,
+        absorb=_chunk_absorber(result, progress=reporter, keep_records=False),
+        pool_factory=pool_factory,
     )
     computed = result.cache_misses
     # Assembly: every drainer loads every entry in deterministic job
     # order and folds parent-side — identical sweep and rollup bytes on
     # every host, regardless of who computed what.
-    shared_cache = SweepCache(os.path.join(work_dir, executor.CACHE_DIR))
+    shared_cache = SweepCache(os.path.join(work_dir, CACHE_DIR))
     for job in all_jobs:
         summary = shared_cache.load(job.digest)
         if summary is None:
@@ -476,7 +435,3 @@ def _run_shared_dir(spec: SweepSpec, result: SweepResult, *, jobs: int,
         _absorb(result, job, summary)
     result.cache_misses = computed
     result.cache_hits = len(all_jobs) - computed
-    if result.telemetry is not None and result.cache_hits:
-        result.telemetry.inc("sweep_worker_cache_hits_total",
-                             amount=result.cache_hits, where="parent")
-

@@ -48,8 +48,8 @@ class VerifyReport:
     ties: TieReplayReport
     #: Recovery-invariant report (None when the scenario arms no plan).
     invariants: Optional[Any]
-    #: Provenance conservation report (None when provenance is off).
-    conservation: Optional[Any]
+    #: Provenance conservation report.
+    conservation: Any
     #: The first run's deployment, kept for metric and span exports.
     mission: Any = field(default=None, compare=False, repr=False)
 
@@ -57,7 +57,7 @@ class VerifyReport:
     def checks(self) -> Dict[str, bool]:
         """Pass/fail per check; an empty trace fails all three."""
         invariants_ok = self.invariants is None or self.invariants.ok
-        conserved = self.conservation is None or self.conservation.ok
+        conserved = self.conservation.ok
         return {
             "determinism": self.determinism.ok,
             "tie_replay": self.ties.robust,
@@ -74,8 +74,7 @@ class VerifyReport:
         lines = [self.determinism.summary(), self.ties.format()]
         lines.append(self.invariants.format() if self.invariants is not None
                      else "invariants: no fault plan armed")
-        if self.conservation is not None:
-            lines.append(self.conservation.format())
+        lines.append(self.conservation.format())
         failed = [name for name, passed in self.checks.items() if not passed]
         lines.append(f"verify FAILED: {', '.join(failed)}" if failed
                      else "verify OK: replay, tie replay and invariants agree")
@@ -97,8 +96,7 @@ class VerifyReport:
             "determinism": self.determinism.to_dict(),
             "tie_replay": self.ties.to_dict(),
             "invariants": invariants,
-            "conservation": (None if self.conservation is None
-                             else self.conservation.to_dict()),
+            "conservation": self.conservation.to_dict(),
         }
 
 

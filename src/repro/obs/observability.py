@@ -66,7 +66,7 @@ class Observability:
         self.spans = SpanRecorder(clock)
         #: Data-provenance ledger (artifact lifecycle accounting); shares
         #: the metrics registry so its counters ride every export.
-        self.provenance: Optional[ProvenanceLedger] = ProvenanceLedger(self.metrics)
+        self.provenance: ProvenanceLedger = ProvenanceLedger(self.metrics)
         #: Alert engine armed by :meth:`arm_alerts` (None = no rules).
         self.alerts: Optional[AlertEngine] = None
         #: Read by the kernel when a ``run()`` call picks its observer.
@@ -102,8 +102,7 @@ class Observability:
     # ------------------------------------------------------------------
     def attach_trace(self, trace) -> None:
         """Subscribe the provenance ledger to a :class:`Trace`."""
-        if self.provenance is not None:
-            self.provenance.attach(trace)
+        self.provenance.attach(trace)
 
     # ------------------------------------------------------------------
     # Kernel hook
@@ -153,20 +152,17 @@ class Observability:
                 "trace_records_total", source=source, kind=kind)
             counter.inc(count - counter.value)
 
-    def finalise(self, sim) -> "Optional[ConservationReport]":
+    def finalise(self, sim) -> ConservationReport:
         """Mission-close collection: kernel gauges, record counts, provenance, alerts.
 
         Idempotent (the ledger caches its report and the alert engine
         settles once), so CLI exports and the mission report can both
         finalise without double-counting.  Collects again after the alerts
         settle, so the ``alert_fired`` records of end-of-run firings are
-        counted too.  Returns the conservation report, or None when
-        provenance is disabled.
+        counted too.  Returns the conservation report.
         """
         self.collect(sim)
-        report = None
-        if self.provenance is not None:
-            report = self.provenance.finish(sim.now)
+        report = self.provenance.finish(sim.now)
         if self.alerts is not None:
             self.alerts.finish(sim.now)
             self.collect(sim)

@@ -159,7 +159,7 @@ class ProvenanceLedger:
     """Trace-fed artifact lifecycle tracker with a conservation close-out.
 
     Attach with :meth:`attach` (done by :class:`~repro.obs.observability.
-    Observability` when provenance is enabled); call :meth:`finish` at
+    Observability` for every simulation); call :meth:`finish` at
     mission close for the :class:`ConservationReport`.
     """
 

@@ -29,7 +29,8 @@ final rollup JSON records — so the parent's merged total is the exact
 sum of every raw increment regardless of how jobs were partitioned into
 chunks.  Rounding a shard's counter and then summing the rounded values
 is *not* partition-independent; shipping partials is what keeps the
-rollup byte-identical across ``--jobs``, chunk sizes, and backends.
+rollup byte-identical across ``--jobs``, chunk sizes, and shared-dir
+drainers.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Cross-backend byte-equality: pool, shared-dir, concurrent drainers.
+"""Cross-path byte-equality: in-process, pool, shared-dir, concurrent drainers.
 
 The hard contract under test: a sweep's JSON and rollup bytes depend
 only on the spec and the package version — never on ``--jobs``, chunk
-size, backend, completion order, cache temperature, or which of several
-cooperating drainers computed which block.
+size, a shared work dir, completion order, cache temperature, or which
+of several cooperating drainers computed which block.
 """
 
 import os
@@ -61,15 +61,15 @@ class TestPoolBackend:
         assert warm.cache_misses == 0
         # Hits are served by the parent's probe, never the pool.
         assert warm.chunks_dispatched == 0
-        snapshot = warm.telemetry.snapshot()
-        hits = {tuple(sorted(m["labels"].items())): m["value"]
-                for m in snapshot["metrics"]
-                if m["name"] == "sweep_worker_cache_hits_total"}
-        assert hits[(("where", "parent"),)] == warm.cache_hits
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            run_sweep(small_spec(), backend="carrier-pigeon")
+    def test_in_process_cold_sweep_runs_through_chunks(self, tmp_path,
+                                                       reference):
+        result = run_sweep(small_spec(), jobs=1,
+                           cache=SweepCache(str(tmp_path / "c")))
+        assert outputs(result) == reference
+        assert result.cache_misses == 4
+        assert result.chunks_dispatched >= 1
+        assert result.parent_folds == result.chunks_dispatched
 
     def test_progress_lines_reach_the_sink(self, tmp_path):
         lines = []
@@ -82,7 +82,14 @@ class TestPoolBackend:
 
 class TestSharedDirBackend:
     def test_single_drainer_matches_inline(self, tmp_path, reference):
-        result = run_sweep(small_spec(), jobs=1, backend="shared-dir",
+        result = run_sweep(small_spec(), jobs=1,
+                           work_dir=str(tmp_path / "wd"), chunk_size=1)
+        assert outputs(result) == reference
+        assert result.cache_misses == 4
+        assert result.cache_hits == 0
+
+    def test_pooled_cold_drain_matches_inline(self, tmp_path, reference):
+        result = run_sweep(small_spec(), jobs=2,
                            work_dir=str(tmp_path / "wd"), chunk_size=1)
         assert outputs(result) == reference
         assert result.cache_misses == 4
@@ -90,37 +97,29 @@ class TestSharedDirBackend:
 
     def test_warm_rerun_assembles_identically(self, tmp_path, reference):
         work_dir = str(tmp_path / "wd")
-        run_sweep(small_spec(), jobs=1, backend="shared-dir",
-                  work_dir=work_dir)
-        warm = run_sweep(small_spec(), jobs=2, backend="shared-dir",
-                         work_dir=work_dir)
+        run_sweep(small_spec(), jobs=1, work_dir=work_dir)
+        warm = run_sweep(small_spec(), jobs=2, work_dir=work_dir)
         assert outputs(warm) == reference
         assert warm.cache_misses == 0
         assert warm.cache_hits == 4
 
-    def test_requires_work_dir(self):
-        with pytest.raises(ValueError, match="work_dir"):
-            run_sweep(small_spec(), backend="shared-dir")
-
     def test_rejects_external_cache(self, tmp_path):
         with pytest.raises(ValueError, match="its own cache"):
-            run_sweep(small_spec(), backend="shared-dir",
-                      work_dir=str(tmp_path / "wd"),
+            run_sweep(small_spec(), work_dir=str(tmp_path / "wd"),
                       cache=SweepCache(str(tmp_path / "c")))
 
     def test_different_spec_same_work_dir_rejected(self, tmp_path):
         work_dir = str(tmp_path / "wd")
-        run_sweep(small_spec(), backend="shared-dir", work_dir=work_dir)
+        run_sweep(small_spec(), work_dir=work_dir)
         with pytest.raises(ValueError, match="different campaign"):
-            run_sweep(small_spec(seeds=(7, 8)), backend="shared-dir",
-                      work_dir=work_dir)
+            run_sweep(small_spec(seeds=(7, 8)), work_dir=work_dir)
 
 
 def drainer_cmd(work_dir, out, rollup_out, days="0.25", seeds="0,1",
                 extra=()):
     return [sys.executable, "-m", "repro.cli", "sweep",
             "--days", days, "--seeds", seeds, "--param", "solar_w=5,10",
-            "--backend", "shared-dir", "--work-dir", work_dir,
+            "--work-dir", work_dir,
             "--chunk-size", "1", "--output", out,
             "--rollup-out", rollup_out, *extra]
 
@@ -176,7 +175,7 @@ class TestConcurrentDrainers:
                 victim.send_signal(signal.SIGKILL)
         finally:
             victim.wait(timeout=60)
-        resumed = run_sweep(spec, jobs=1, backend="shared-dir",
-                            work_dir=work_dir, stale_claim_s=0.0)
+        resumed = run_sweep(spec, jobs=1, work_dir=work_dir,
+                            stale_claim_s=0.0)
         assert outputs(resumed) == ref
         assert resumed.cache_hits + resumed.cache_misses == 6

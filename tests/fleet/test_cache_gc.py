@@ -141,8 +141,7 @@ class TestCacheGcCli:
         write_entry(work_dir / "cache", DIGEST_B,
                     {"v": "0.0.0-old", "summary": {}})
         code, captured = self.run_cli(
-            ["sweep", "--cache-gc", "--backend", "shared-dir",
-             "--work-dir", str(work_dir)], capsys)
+            ["sweep", "--cache-gc", "--work-dir", str(work_dir)], capsys)
         assert code == 0
         assert "removed 1 stale entry" in captured.err
         assert cache.gc().removed_entries == 0  # already pruned

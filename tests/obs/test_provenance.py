@@ -176,7 +176,6 @@ class TestMissionConservation:
         with_ledger.run_days(2.0)
         without = Deployment(DeploymentConfig(seed=11))
         without.sim.obs.provenance.detach()
-        without.sim.obs.provenance = None
         without.run_days(2.0)
         assert with_ledger.sim.now == without.sim.now
         assert (with_ledger.server.received_bytes()
