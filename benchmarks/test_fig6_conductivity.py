@@ -97,5 +97,5 @@ def test_fig6_signal_through_full_deployment(benchmark):
     # Conductivity channel present in delivered readings.
     payloads = [u.payload for u in uploads if u.payload and u.payload.get("readings")]
     assert payloads
-    sample = payloads[0]["readings"][0]
-    assert "conductivity_us" in sample["channels"]
+    sample = payloads[0]["readings"]
+    assert "conductivity_us" in sample.channels

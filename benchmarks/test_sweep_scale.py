@@ -21,7 +21,6 @@ import hashlib
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.fleet import (
     SweepCache,
     SweepSpec,
@@ -67,8 +66,15 @@ def cache_root(tmp_path_factory):
     return str(tmp_path_factory.mktemp("sweep-bench"))
 
 
-def _measure(benchmark, cache_root: str):
-    result = run_once(benchmark, run_campaign, cache_root)
+#: Warm passes are idempotent, so the warm row times several and the gate
+#: reads their min: one ~300 ms pass on a 2-CPU host can read 1.6x its
+#: pinned time on noise alone.
+WARM_ROUNDS = 5
+
+
+def _measure(benchmark, cache_root: str, rounds: int = 1):
+    result = benchmark.pedantic(run_campaign, args=(cache_root,),
+                                rounds=rounds, iterations=1)
     for key in ("ipc_payload_bytes", "parent_folds", "chunks_dispatched",
                 "cache_hits", "cache_misses"):
         benchmark.extra_info[key] = getattr(result, key)
@@ -84,7 +90,7 @@ def test_sweep_cold_batched(benchmark, cache_root):
 
 
 def test_sweep_warm_batched(benchmark, cache_root):
-    result = _measure(benchmark, cache_root)
+    result = _measure(benchmark, cache_root, rounds=WARM_ROUNDS)
     assert result.cache_hits == TOTAL_RUNS
     # Warm hits are parent-side loads; the pool never opens.
     assert result.chunks_dispatched == 0

@@ -53,7 +53,7 @@ from repro.hardware.storage import CompactFlashCard, StorageCorruption
 from repro.probes.commands import ProbeCommander
 from repro.probes.probe import Probe, WiredProbe
 from repro.protocol.bulk import BulkFetcher
-from repro.protocol.framing import READING_BYTES
+from repro.protocol.framing import READING_BYTES, ReadingColumns
 from repro.sim.kernel import Simulation
 
 #: Wire size of one MSP sensor/voltage sample in the staged data files.
@@ -582,16 +582,17 @@ class BaseStation(Station):
                         "probe_id": probe.probe_id,
                         "task_id": result.task_id,
                         "count": result.received_new,
-                        "readings": [
-                            {"seq": r.seq, "time": r.time, "channels": r.channels}
-                            for r in self.fetcher.holdings(
-                                probe.probe_id, result.task_id
-                            ).values()
-                        ]
+                        "readings": ReadingColumns.of(
+                            self.fetcher.holdings(probe.probe_id, result.task_id).values()
+                        )
                         if result.complete
                         else None,
                     },
                 )
+            if result.complete and result.task_id is not None:
+                # The probe has retired the task and its holdings are
+                # staged: the fetcher never reads them again.
+                self.fetcher.release(probe.probe_id, result.task_id)
 
     def _maybe_priority_comms(self):
         """Section VII extension: urgent findings force a minimal upload.

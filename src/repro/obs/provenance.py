@@ -16,9 +16,9 @@ Artifact ID scheme (all components are simulated identifiers, never host
 state, so IDs are byte-stable across replays and tie-break policies):
 
 - ``reading:{probe_id}:{task_id}:{seq}`` — one probe sensor record, born
-  when its task snapshot freezes a sequence number onto it (keyed
-  internally by the int tuple ``(probe_id, task_id, seq)``; the string
-  form appears only in anomaly messages);
+  when its task snapshot freezes a sequence number onto it (held
+  internally as row ``seq`` of its ``(probe_id, task_id)`` columns; the
+  string form appears only in anomaly messages);
 - ``gps:{filename}`` — one dGPS observation file on a receiver card
   (e.g. ``gps:gps/base.gps/000001234.obs``);
 - ``file:{station}:{name}`` — one staged outbox file on a station card
@@ -47,8 +47,9 @@ log-volume query matches), so attaching it cannot perturb the mission.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -68,6 +69,13 @@ _FORWARD_FROM: Dict[str, frozenset] = {
     stage: frozenset(STAGES[:rank] + (("transferred",) if stage == "transferred" else ()))
     for rank, stage in enumerate(STAGES)
 }
+#: :data:`_FORWARD_FROM` as stage ranks, for the reading columns.
+_FORWARD_RANKS: Dict[str, frozenset] = {
+    stage: frozenset(_RANK[source] for source in sources)
+    for stage, sources in _FORWARD_FROM.items()
+}
+#: Stage rank of a reading row no ``created`` record has filled.
+_ABSENT = 255
 
 #: Sim-time latency buckets: 1 min, 10 min, 1 h, 6 h, 1 d, 2 d, 7 d, 30 d.
 LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -76,14 +84,18 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 
 
 def _name(key: Hashable) -> str:
-    """The artifact ID of a ledger key (readings are keyed by int tuples)."""
+    """The artifact ID of a ledger key (a reading's is ``(probe, task, seq)``)."""
     if isinstance(key, tuple):
         return "reading:{}:{}:{}".format(*key)
     return key
 
 
+#: A file's child: a gps artifact ID, or the ``(probe, task, seqs)`` readings.
+_Child = Union[str, Tuple[int, int, Sequence[int]]]
+
+
 class _Artifact:
-    """Mutable per-artifact ledger row (internal)."""
+    """Mutable ledger row of one file or gps artifact (internal)."""
 
     __slots__ = ("cls", "stage", "stage_time", "lost_cause", "container")
 
@@ -94,6 +106,38 @@ class _Artifact:
         self.lost_cause: Optional[str] = None
         #: The ``file:`` artifact currently carrying this one, if any.
         self.container: Optional[str] = None
+
+
+class _ReadingRows:
+    """Ledger rows of one ``(probe, task)``'s readings, as columns (internal).
+
+    Row ``seq`` is reading ``reading:{probe}:{task}:{seq}``: its stage rank
+    (:data:`_ABSENT` until created), the sim time it reached that stage,
+    and the ``file:`` artifact carrying it.  Lost causes are sparse.
+    """
+
+    __slots__ = ("stages", "times", "containers", "lost")
+
+    def __init__(self) -> None:
+        self.stages = bytearray()
+        self.times = array("d")
+        self.containers: List[Optional[str]] = []
+        #: seq -> the fault that destroyed the reading.
+        self.lost: Dict[int, str] = {}
+
+    def grow(self, size: int) -> None:
+        """Make room for seqs below ``size``."""
+        extra = size - len(self.stages)
+        if extra > 0:
+            self.stages.extend(bytes((_ABSENT,)) * extra)
+            self.times.extend(array("d", bytes(8 * extra)))
+            self.containers.extend([None] * extra)
+
+    def stage_of(self, seq: int) -> Optional[str]:
+        """The stage name of row ``seq``, or ``None`` if never created."""
+        if 0 <= seq < len(self.stages) and self.stages[seq] != _ABSENT:
+            return STAGES[self.stages[seq]]
+        return None
 
 
 class ConservationReport:
@@ -165,11 +209,12 @@ class ProvenanceLedger:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Artifact key -> row; a reading's key is ``(probe, task, seq)``,
-        #: every other artifact's key is its ID string.
-        self._artifacts: Dict[Hashable, _Artifact] = {}
-        #: ``file:`` artifact id -> child artifact keys it carries.
-        self._children: Dict[str, List[Hashable]] = {}
+        #: ``file:`` / ``gps:`` artifact id -> row.
+        self._artifacts: Dict[str, _Artifact] = {}
+        #: ``(probe, task)`` -> the rows of that task's readings.
+        self._readings: Dict[Tuple[int, int], _ReadingRows] = {}
+        #: ``file:`` artifact id -> the children it carries.
+        self._children: Dict[str, List[_Child]] = {}
         self._anomalies: List[str] = []
         self._trace = None
         self._report: Optional[ConservationReport] = None
@@ -215,12 +260,8 @@ class ProvenanceLedger:
         if kind == "created":
             cls = detail.get("cls", "")
             if cls == "reading":
-                probe = detail["probe"]
-                task = detail["task"]
-                first_seq = detail["first_seq"]
-                self._create([(probe, task, seq) for seq in
-                              range(first_seq, first_seq + detail["count"])],
-                             "reading", now)
+                self._create_readings(detail["probe"], detail["task"],
+                                      detail["first_seq"], detail["count"], now)
             elif cls == "gps":
                 self._create((detail["artifact"],), "gps", now)
         elif kind == "stored":
@@ -246,14 +287,24 @@ class ProvenanceLedger:
             children.append(artifact)
         probe = detail.get("probe")
         if probe is not None:
-            task = detail["task"]
-            children.extend((probe, task, seq) for seq in detail.get("seqs", ()))
-        artifacts = self._artifacts
-        for child_id in children:
-            child = artifacts.get(child_id)
-            if child is not None:
-                child.container = file_id
-        self._advance(children, "queued", now)
+            children.append((probe, detail["task"], detail.get("seqs", ())))
+        for child in children:
+            if isinstance(child, str):
+                row = self._artifacts.get(child)
+                if row is not None:
+                    row.container = file_id
+                continue
+            probe, task, seqs = child
+            rows = self._readings.get((probe, task))
+            if rows is None:
+                continue
+            stages = rows.stages
+            containers = rows.containers
+            size = len(stages)
+            for seq in seqs:
+                if 0 <= seq < size and stages[seq] != _ABSENT:
+                    containers[seq] = file_id
+        self._advance_children(children, "queued", now)
 
     def _on_fetch(self, record) -> None:
         """Protocol fetch completion: delivered readings reach ``stored``."""
@@ -266,7 +317,7 @@ class ProvenanceLedger:
             return
         now = record.time
         seqs = detail.get("new_seqs", detail.get("delivered_seqs", ()))
-        self._advance([(probe, task, seq) for seq in seqs], "stored", now)
+        self._advance_readings(probe, task, seqs, "stored", now)
         rerequested = detail.get("rerequested", 0)
         if rerequested:
             self.metrics.inc("provenance_edges_total", amount=rerequested,
@@ -281,31 +332,51 @@ class ProvenanceLedger:
             return
         station = detail.get("station", "")
         cause = detail.get("fault", "fault")
-        now = record.time
         for name in files:
             file_id = f"file:{station}:{name}"
             if file_id in self._artifacts:
-                self._lose(file_id, cause, now)
+                self._lose(file_id, cause)
 
     # ------------------------------------------------------------------
     # Ledger mutations
     # ------------------------------------------------------------------
-    def _create(self, keys: Iterable[Hashable], cls: str, now: float) -> None:
+    def _create(self, keys: Iterable[str], cls: str, now: float) -> None:
         """Register a batch of artifacts born at ``now``: one counter bump."""
         artifacts = self._artifacts
         created = 0
         for key in keys:
             if key in artifacts:
                 if cls != "file":
-                    self._anomaly(f"duplicate create for {_name(key)}")
+                    self._anomaly(f"duplicate create for {key}")
                 continue
             artifacts[key] = _Artifact(cls, now)
             created += 1
         if created:
             self._edge("created", cls, created)
 
-    def _advance(self, keys: Iterable[Hashable], stage: str, now: float) -> int:
-        """Move a batch of artifacts forward to ``stage``; returns how many moved.
+    def _create_readings(self, probe: int, task: int, first_seq: int,
+                         count: int, now: float) -> None:
+        """Register readings ``first_seq .. first_seq + count - 1`` of a task."""
+        rows = self._readings.get((probe, task))
+        if rows is None:
+            rows = self._readings[(probe, task)] = _ReadingRows()
+        end = first_seq + count
+        rows.grow(end)
+        stages = rows.stages
+        times = rows.times
+        created = 0
+        for seq in range(first_seq, end):
+            if stages[seq] != _ABSENT:
+                self._anomaly(f"duplicate create for {_name((probe, task, seq))}")
+                continue
+            stages[seq] = 0
+            times[seq] = now
+            created += 1
+        if created:
+            self._edge("created", "reading", created)
+
+    def _advance(self, keys: Iterable[str], stage: str, now: float) -> int:
+        """Move a batch of file/gps artifacts to ``stage``; returns how many moved.
 
         Each run of artifacts sharing a class and a latency costs one edge
         counter bump and one histogram bucket search.  Runs follow the
@@ -321,9 +392,12 @@ class ProvenanceLedger:
         run_length = 0
         for key in keys:
             artifact = artifacts.get(key)
-            if (artifact is None or artifact.lost_cause is not None
-                    or artifact.stage not in forward):
-                self._refuse(key, artifact, stage)
+            if artifact is None:
+                self._refuse(key, "", None, False, stage)
+                continue
+            if artifact.lost_cause is not None or artifact.stage not in forward:
+                self._refuse(key, artifact.cls, artifact.stage,
+                             artifact.lost_cause is not None, stage)
                 continue
             cls = artifact.cls
             latency = now - artifact.stage_time
@@ -341,61 +415,131 @@ class ProvenanceLedger:
             self._moved(stage, run_cls, run_latency, run_length)
         return moved + run_length
 
-    def _refuse(self, key: Hashable, artifact: Optional[_Artifact],
-                stage: str) -> None:
-        """An edge that does not move ``key`` forward.
+    def _advance_readings(self, probe: int, task: int, seqs: Iterable[int],
+                          stage: str, now: float,
+                          riding: Optional[str] = None) -> None:
+        """:meth:`_advance` for readings ``seqs`` of one task, in the given order.
+
+        With ``riding`` set, only readings whose container is that file
+        move, and readings the ledger never saw are skipped silently.
+        """
+        rows = self._readings.get((probe, task))
+        if rows is None:
+            if riding is None:
+                for seq in seqs:
+                    self._refuse((probe, task, seq), "reading", None, False, stage)
+            return
+        stages = rows.stages
+        times = rows.times
+        containers = rows.containers
+        lost = rows.lost
+        size = len(stages)
+        forward = _FORWARD_RANKS[stage]
+        rank = _RANK[stage]
+        run_latency = None
+        run_length = 0
+        for seq in seqs:
+            if riding is not None and not (0 <= seq < size
+                                           and containers[seq] == riding):
+                continue
+            current = stages[seq] if 0 <= seq < size else _ABSENT
+            if current not in forward or (lost and seq in lost):
+                self._refuse((probe, task, seq), "reading", rows.stage_of(seq),
+                             seq in lost, stage)
+                continue
+            latency = now - times[seq]
+            if latency != run_latency:
+                if run_length:
+                    self._moved(stage, "reading", run_latency, run_length)
+                run_latency = latency
+                run_length = 0
+            run_length += 1
+            stages[seq] = rank
+            times[seq] = now
+        if run_length:
+            self._moved(stage, "reading", run_latency, run_length)
+
+    def _advance_children(self, children: Iterable[_Child], stage: str,
+                          now: float, riding: Optional[str] = None) -> None:
+        """Advance a file's children in order (see :meth:`_advance_readings`)."""
+        for child in children:
+            if not isinstance(child, str):
+                self._advance_readings(*child, stage, now, riding)
+            elif riding is None or getattr(self._artifacts.get(child),
+                                           "container", None) == riding:
+                self._advance((child,), stage, now)
+
+    def _refuse(self, key: Hashable, cls: str, prior: Optional[str],
+                lost: bool, stage: str) -> None:
+        """An edge that does not move ``key`` (now at ``prior``) forward.
 
         It is an anomaly, a counted re-transfer, or an ignored repeat.
         """
-        if artifact is None:
+        if prior is None:
             # A trace record referenced data the ledger never saw created
             # (possible in unit rigs exercising one subsystem in isolation).
             self._anomaly(f"{stage} edge for unknown artifact {_name(key)}")
-        elif artifact.lost_cause is not None:
+        elif lost:
             self._anomaly(f"{stage} edge for lost artifact {_name(key)}")
         elif stage == "archived":
             self._anomaly(f"duplicate archive of {_name(key)}")
-        elif _RANK[stage] < _RANK[artifact.stage]:
+        elif _RANK[stage] < _RANK[prior]:
             # Re-transfer after a failed ingest is idempotent (a forward
             # edge); everything else repeating or regressing means the
             # edge feed is broken.
-            if stage == "transferred" and artifact.stage == "archived":
+            if stage == "transferred" and prior == "archived":
                 # The station's post-upload delete failed, so it sent a
                 # file the server already archived: data is safe, the
                 # airtime was wasted.  Counted, not an anomaly.
                 self.metrics.inc("provenance_edges_total",
-                                 stage="retransferred", cls=artifact.cls)
+                                 stage="retransferred", cls=cls)
             else:
                 self._anomaly(
-                    f"backwards edge {artifact.stage}->{stage} for {_name(key)}")
+                    f"backwards edge {prior}->{stage} for {_name(key)}")
 
     def _cascade(self, file_id: str, stage: str, now: float) -> None:
         """Advance a file and, if it moved, the children riding it."""
         if not self._advance((file_id,), stage, now):
             return
-        artifacts = self._artifacts
         # Cascade only to children still riding *this* copy — a reading
         # re-fetched into a newer file belongs to that one.
-        self._advance([child_id for child_id in self._children.get(file_id, ())
-                       if (child := artifacts.get(child_id)) is not None
-                       and child.container == file_id],
-                      stage, now)
+        self._advance_children(self._children.get(file_id, ()), stage, now,
+                               riding=file_id)
 
-    def _lose(self, artifact_id: Hashable, cause: str, now: float) -> None:
-        artifact = self._artifacts.get(artifact_id)
-        if artifact is None or artifact.lost_cause is not None:
-            return
-        if artifact.stage == "archived":
-            # The server already has it; destroying the local copy is not
-            # data loss.
-            return
+    def _lose(self, file_id: str, cause: str) -> None:
+        """A fault destroyed ``file_id``: it and the children riding it are lost."""
+        for child in self._lose_one(file_id, cause):
+            if isinstance(child, str):
+                row = self._artifacts.get(child)
+                if row is not None and row.container == file_id:
+                    self._lose_one(child, cause)
+                continue
+            probe, task, seqs = child
+            rows = self._readings.get((probe, task))
+            if rows is None:
+                continue
+            size = len(rows.stages)
+            for seq in seqs:
+                if (0 <= seq < size and rows.containers[seq] == file_id
+                        and seq not in rows.lost
+                        and rows.stages[seq] != _RANK["archived"]):
+                    rows.lost[seq] = cause
+                    self._lost("reading", cause)
+
+    def _lose_one(self, artifact_id: str, cause: str) -> Sequence[_Child]:
+        """Mark one file or gps artifact lost; returns the children it strands."""
+        artifact = self._artifacts[artifact_id]
+        if artifact.lost_cause is not None or artifact.stage == "archived":
+            # Already gone, or the server has it: destroying the local copy
+            # is not data loss.
+            return ()
         artifact.lost_cause = cause
-        self._edge("lost", artifact.cls)
-        self.metrics.inc("provenance_lost_total", cls=artifact.cls, cause=cause)
-        for child_id in self._children.get(artifact_id, ()):
-            child = self._artifacts.get(child_id)
-            if child is not None and child.container == artifact_id:
-                self._lose(child_id, cause, now)
+        self._lost(artifact.cls, cause)
+        return self._children.get(artifact_id, ())
+
+    def _lost(self, cls: str, cause: str) -> None:
+        self._edge("lost", cls)
+        self.metrics.inc("provenance_lost_total", cls=cls, cause=cause)
 
     def _edge(self, stage: str, cls: str, count: int = 1) -> None:
         counter = self._edge_counters.get((stage, cls))
@@ -423,6 +567,20 @@ class ProvenanceLedger:
     # ------------------------------------------------------------------
     # Close-out
     # ------------------------------------------------------------------
+    def _tally(self) -> Counter:
+        """Artifact count per ``(cls, lost cause or None, stage)``."""
+        tally = Counter((artifact.cls, artifact.lost_cause, artifact.stage)
+                        for artifact in self._artifacts.values())
+        for rows in self._readings.values():
+            stages = rows.stages
+            for rank, stage in enumerate(STAGES):
+                tally["reading", None, stage] += stages.count(rank)
+            for seq, cause in rows.lost.items():
+                stage = STAGES[stages[seq]]
+                tally["reading", None, stage] -= 1
+                tally["reading", cause, stage] += 1
+        return tally
+
     def finish(self, now: float) -> ConservationReport:
         """Run the conservation check and pin the result into the metrics.
 
@@ -432,13 +590,13 @@ class ProvenanceLedger:
         """
         if self._report is not None:
             return self._report
-        created = len(self._artifacts)
-        archived = in_flight = lost = 0
+        created = archived = in_flight = lost = 0
         lost_by_cause: Dict[str, int] = {}
         by_class: Dict[str, Dict[str, int]] = {}
-        tally = Counter((artifact.cls, artifact.lost_cause, artifact.stage)
-                        for artifact in self._artifacts.values())
-        for (cls, cause, stage), count in tally.items():
+        for (cls, cause, stage), count in self._tally().items():
+            if not count:
+                continue
+            created += count
             if cause is not None:
                 lost += count
                 lost_by_cause[cause] = lost_by_cause.get(cause, 0) + count

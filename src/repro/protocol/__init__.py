@@ -8,7 +8,8 @@ many that it would be as efficient to request them all again".  Tasks are
 only marked complete in the probe once the base holds every reading, so a
 session cut short by the communication window resumes on subsequent days.
 
-- :mod:`repro.protocol.framing` — readings, packets, sizes;
+- :mod:`repro.protocol.framing` — readings, packets, sizes, and the
+  columnar form a completed task is staged in;
 - :mod:`repro.protocol.bulk` — the paper's NACK-free protocol;
 - :mod:`repro.protocol.stopwait` — the classic stop-and-wait ACK baseline
   it replaced (for the E14 ablation).
@@ -21,6 +22,7 @@ from repro.protocol.framing import (
     READING_BYTES,
     REQUEST_BYTES,
     Reading,
+    ReadingColumns,
     TaskSnapshot,
 )
 from repro.protocol.stopwait import StopWaitFetcher, StopWaitResult
@@ -34,6 +36,7 @@ __all__ = [
     "READING_BYTES",
     "REQUEST_BYTES",
     "Reading",
+    "ReadingColumns",
     "StopWaitFetcher",
     "StopWaitResult",
     "TaskSnapshot",

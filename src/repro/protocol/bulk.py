@@ -287,3 +287,13 @@ class BulkFetcher:
     def holdings(self, probe_id: int, task_id: int) -> Dict[int, Reading]:
         """The readings actually held for one (probe, task)."""
         return dict(self.store.get((probe_id, task_id), {}))
+
+    def release(self, probe_id: int, task_id: int) -> None:
+        """Forget one (probe, task) the probe has retired.
+
+        :meth:`fetch` keeps what it received across sessions so an
+        interrupted task resumes; once the probe confirms the task and the
+        caller has staged its holdings, nothing reads them again.
+        """
+        self.received.pop((probe_id, task_id), None)
+        self.store.pop((probe_id, task_id), None)

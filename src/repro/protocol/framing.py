@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List
 
 #: Encoded size of one sensor reading on the wire (id, seq, time, channels).
 READING_BYTES = 24
@@ -40,6 +41,45 @@ class Reading:
     def wire_bytes(self) -> int:
         """Bytes this reading occupies in a DATA packet."""
         return READING_BYTES
+
+
+@dataclass(frozen=True, slots=True)
+class ReadingColumns:
+    """A completed task's readings as columns, the form they are staged in.
+
+    Row ``i`` of every column is one reading, in the order the base station
+    received them.  One ``array`` per field replaces one
+    ``{"seq", "time", "channels"}`` dict per reading, so a reading waiting
+    out a backlog costs 8 bytes per field instead of a few hundred.
+
+    Attributes
+    ----------
+    seqs:
+        Sequence number of each reading within its task.
+    times:
+        Probe-RTC timestamp of each reading.
+    channels:
+        Sensor channel name -> that channel's value for each reading.
+    """
+
+    seqs: array
+    times: array
+    channels: Dict[str, array]
+
+    @classmethod
+    def of(cls, readings: Iterable[Reading]) -> "ReadingColumns":
+        """Columns of ``readings`` (which all carry the same channels)."""
+        readings = list(readings)
+        names = list(readings[0].channels) if readings else []
+        return cls(
+            array("q", [reading.seq for reading in readings]),
+            array("d", [reading.time for reading in readings]),
+            {name: array("d", [reading.channels[name] for reading in readings])
+             for name in names},
+        )
+
+    def __len__(self) -> int:
+        return len(self.seqs)
 
 
 @dataclass

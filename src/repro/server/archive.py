@@ -62,14 +62,11 @@ class ScienceArchive:
         series: Dict[int, List[Tuple[float, float]]] = {}
         for _seq, payload in _merged(index.probes for index in self._indexes()):
             readings = payload.get("readings")
-            if not readings:
+            if not readings or channel not in readings.channels:
                 continue
-            probe_id = payload["probe_id"]
-            for reading in readings:
-                if channel in reading["channels"]:
-                    series.setdefault(probe_id, []).append(
-                        (reading["time"], reading["channels"][channel])
-                    )
+            series.setdefault(payload["probe_id"], []).extend(
+                zip(readings.times, readings.channels[channel])
+            )
         for values in series.values():
             values.sort()
         return series

@@ -27,6 +27,11 @@ def make_rig():
     return clock, trace, ledger
 
 
+def queue_readings(trace, name, seqs, probe=4, task=7):
+    trace.emit("prov", "queued", station="base", file=name, file_kind="probes",
+               bytes=24 * len(seqs), probe=probe, task=task, seqs=seqs)
+
+
 class TestLifecycle:
     def test_reading_lifecycle_to_archive(self):
         clock, trace, ledger = make_rig()
@@ -108,6 +113,42 @@ class TestLifecycle:
         report = ledger.finish(clock.now)
         assert report.ok and report.lost == 0 and report.archived == 1
 
+    def test_requeued_reading_is_not_archived_through_its_first_file(self):
+        clock, trace, ledger = make_rig()
+        trace.emit("prov", "created", cls="reading", probe=4, task=7,
+                   first_seq=0, count=3)
+        queue_readings(trace, "outbox/probes/000001", [0, 1, 2])
+        clock.advance_to(60.0)
+        queue_readings(trace, "outbox/probes/000002", [1, 2])
+        clock.advance_to(120.0)
+        trace.emit("prov", "archived", station="base", file="outbox/probes/000001")
+        report = ledger.finish(clock.now)
+        assert report.ok
+        # Only seq 0 still rode file 1; seqs 1-2 wait in file 2.
+        assert report.by_class["reading"] == {"archived": 1, "queued": 2}
+        assert report.by_class["file"] == {"archived": 1, "queued": 1}
+
+    def test_requeued_reading_is_not_lost_with_its_first_file(self):
+        clock, trace, ledger = make_rig()
+        trace.emit("prov", "created", cls="reading", probe=4, task=7,
+                   first_seq=0, count=3)
+        queue_readings(trace, "outbox/probes/000001", [0, 1, 2])
+        clock.advance_to(60.0)
+        queue_readings(trace, "outbox/probes/000002", [1, 2])
+        clock.advance_to(120.0)
+        trace.emit("faults", "fault_injected", station="base",
+                   fault="storage-corruption", files=["outbox/probes/000001"])
+        clock.advance_to(180.0)
+        trace.emit("prov", "archived", station="base", file="outbox/probes/000002")
+        report = ledger.finish(clock.now)
+        assert report.ok
+        assert report.by_class["reading"] == {"archived": 2, "lost": 1}
+        assert report.lost_by_cause == {"storage-corruption": 2}
+        latency = ledger.metrics.histogram(
+            "provenance_stage_latency_seconds", stage="archived", cls="reading")
+        # Re-queueing is not an edge: both latencies run from t=0.
+        assert (latency.count, latency.sum) == (2, 360.0)
+
     def test_rerequested_counts_without_moving_stage(self):
         clock, trace, ledger = make_rig()
         trace.emit("prov", "created", cls="reading", probe=2, task=9,
@@ -146,6 +187,39 @@ class TestAnomalies:
         trace.emit("prov", "transferred", station="base", file="outbox/ghost/000009")
         report = ledger.finish(clock.now)
         assert any("unknown artifact" in a for a in report.anomalies)
+
+    def test_reading_anomaly_texts(self):
+        """Duplicate archive, edges after loss and unknown readings name the
+        reading by its ``reading:probe:task:seq`` ID."""
+        clock, trace, ledger = make_rig()
+        trace.emit("prov", "created", cls="reading", probe=4, task=7,
+                   first_seq=0, count=2)
+        trace.emit("prov", "created", cls="reading", probe=4, task=7,
+                   first_seq=1, count=1)
+        queue_readings(trace, "outbox/probes/000001", [0])
+        queue_readings(trace, "outbox/probes/000002", [1])
+        clock.advance_to(60.0)
+        trace.emit("prov", "archived", station="base", file="outbox/probes/000001")
+        trace.emit("faults", "fault_injected", station="base",
+                   fault="storage-corruption", files=["outbox/probes/000002"])
+        clock.advance_to(120.0)
+        trace.emit("protocol.bulk", "fetch_done", task=7, probe=4,
+                   new_seqs=[1, 2], rerequested=0)
+        queue_readings(trace, "outbox/probes/000003", [0, 1])
+        clock.advance_to(180.0)
+        trace.emit("prov", "archived", station="base", file="outbox/probes/000003")
+        report = ledger.finish(clock.now)
+        assert report.anomalies == [
+            "duplicate create for reading:4:7:1",
+            "stored edge for lost artifact reading:4:7:1",
+            "stored edge for unknown artifact reading:4:7:2",
+            "backwards edge archived->queued for reading:4:7:0",
+            "queued edge for lost artifact reading:4:7:1",
+            "duplicate archive of reading:4:7:0",
+            "archived edge for lost artifact reading:4:7:1",
+        ]
+        assert report.conserved
+        assert report.by_class["reading"] == {"archived": 1, "lost": 1}
 
     def test_finish_is_idempotent(self):
         clock, trace, ledger = make_rig()

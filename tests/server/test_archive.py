@@ -1,5 +1,7 @@
 """Tests for the Southampton science/health archive."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Deployment, DeploymentConfig
@@ -32,6 +34,25 @@ class TestRawExtraction:
         assert len(series) >= 5  # most probes completed at least one task
         for probe_id, values in series.items():
             assert all(v >= 0 for _t, v in values)
+
+    def test_probe_series_pinned(self):
+        """Every probe channel, in arrival order, byte for byte: 2-min
+        sampling for 3 days puts several hundred readings per probe into
+        the archive through the staged probe payloads."""
+        deployment = Deployment(DeploymentConfig(seed=3, probe_sampling_interval_s=120.0))
+        deployment.run_days(3)
+        archive = ScienceArchive(deployment.server)
+        digests = {}
+        for channel in ("conductivity_us", "tilt_deg", "pressure_m"):
+            series = archive.probe_series(channel)
+            assert sum(map(len, series.values())) > 2000
+            digests[channel] = hashlib.sha256(
+                repr(list(series.items())).encode()).hexdigest()[:16]
+        assert digests == {
+            "conductivity_us": "f942ac71e513905d",
+            "tilt_deg": "8c8e392a01bbc8d3",
+            "pressure_m": "c833600684c2da99",
+        }
 
     def test_sensor_series(self, week):
         _deployment, archive = week
