@@ -21,7 +21,8 @@ from repro.core import Deployment, DeploymentConfig
 from repro.sim import Simulation
 
 EVENTS = 5000
-REPEATS = 7
+#: Rounds of the overhead guard; each round times one bare and one obs run.
+ROUNDS = 15
 
 
 def timeout_workload(sim: Simulation) -> float:
@@ -31,14 +32,24 @@ def timeout_workload(sim: Simulation) -> float:
     return sim.now
 
 
-def best_of(repeats: int, build) -> float:
-    """Minimum wall time over ``repeats`` fresh runs (noise-robust)."""
-    best = float("inf")
-    for _ in range(repeats):
-        sim = build()
-        start = time.perf_counter()
-        timeout_workload(sim)
-        best = min(best, time.perf_counter() - start)
+def timed(build) -> float:
+    """Wall time of the workload on one fresh simulation."""
+    sim = build()
+    start = time.perf_counter()
+    timeout_workload(sim)
+    return time.perf_counter() - start
+
+
+def best_alternating(rounds: int, *builds) -> list:
+    """Each arm's minimum wall time over ``rounds`` rounds.
+
+    Every round times each arm once, in turn, so a burst of host load
+    slows both arms alike instead of one arm's whole block.
+    """
+    best = [float("inf")] * len(builds)
+    for _ in range(rounds):
+        for arm, build in enumerate(builds):
+            best[arm] = min(best[arm], timed(build))
     return best
 
 
@@ -63,8 +74,7 @@ def test_default_obs_overhead_under_10_percent():
     # Warm both paths once so allocator/caches don't bias the first timing.
     timeout_workload(bare_sim())
     timeout_workload(default_sim())
-    baseline = best_of(REPEATS, bare_sim)
-    with_obs = best_of(REPEATS, default_sim)
+    baseline, with_obs = best_alternating(ROUNDS, bare_sim, default_sim)
     overhead = with_obs / baseline - 1.0
     assert overhead < 0.10, (
         f"default observability costs {overhead:.1%} per kernel step "

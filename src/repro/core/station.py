@@ -219,7 +219,8 @@ class Station:
         if probe is not None:
             detail["probe"] = probe
             detail["task"] = task
-            detail["seqs"] = list(seqs or ())
+            # The fetch's own list, shared with its ``fetch_done`` record.
+            detail["seqs"] = seqs if seqs is not None else ()
         self.sim.trace.emit("prov", "queued", **detail)
         return name
 
@@ -571,28 +572,27 @@ class BaseStation(Station):
                         {"probe_id": probe.probe_id, "channels": reading.channels}
                         for reading in holdings.values()
                     )
-            if result.received_new:
+            # Each file carries exactly the readings it counts: every one the
+            # fetcher holds that no file carries yet, so readings a killed
+            # session received ride the next file too.
+            for task_id, readings in self.fetcher.take_unstaged(probe.probe_id):
+                seqs = (result.new_seqs
+                        if task_id == result.task_id
+                        and len(readings) == len(result.new_seqs)
+                        else [reading.seq for reading in readings])
                 self._stage_file(
                     "probes",
-                    READING_BYTES * result.received_new,
+                    READING_BYTES * len(readings),
                     probe=probe.probe_id,
-                    task=result.task_id,
-                    seqs=result.new_seqs,
+                    task=task_id,
+                    seqs=seqs,
                     payload={
                         "probe_id": probe.probe_id,
-                        "task_id": result.task_id,
-                        "count": result.received_new,
-                        "readings": ReadingColumns.of(
-                            self.fetcher.holdings(probe.probe_id, result.task_id).values()
-                        )
-                        if result.complete
-                        else None,
+                        "task_id": task_id,
+                        "count": len(readings),
+                        "readings": ReadingColumns.of(readings),
                     },
                 )
-            if result.complete and result.task_id is not None:
-                # The probe has retired the task and its holdings are
-                # staged: the fetcher never reads them again.
-                self.fetcher.release(probe.probe_id, result.task_id)
 
     def _maybe_priority_comms(self):
         """Section VII extension: urgent findings force a minimal upload.

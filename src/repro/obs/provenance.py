@@ -16,9 +16,7 @@ Artifact ID scheme (all components are simulated identifiers, never host
 state, so IDs are byte-stable across replays and tie-break policies):
 
 - ``reading:{probe_id}:{task_id}:{seq}`` — one probe sensor record, born
-  when its task snapshot freezes a sequence number onto it (held
-  internally as row ``seq`` of its ``(probe_id, task_id)`` columns; the
-  string form appears only in anomaly messages);
+  when its task snapshot freezes a sequence number onto it;
 - ``gps:{filename}`` — one dGPS observation file on a receiver card
   (e.g. ``gps:gps/base.gps/000001234.obs``);
 - ``file:{station}:{name}`` — one staged outbox file on a station card
@@ -49,7 +47,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -62,20 +60,17 @@ STOPWAIT_SOURCE = "protocol.stopwait"
 #: Stage ranks; ``lost`` is terminal and handled out-of-band.
 STAGES: Tuple[str, ...] = ("created", "stored", "queued", "transferred", "archived")
 _RANK: Dict[str, int] = {stage: rank for rank, stage in enumerate(STAGES)}
-#: Per target stage, the stages an artifact advances from as a plain
+#: Per target stage, the ranks an artifact advances from as a plain
 #: forward edge: any earlier stage, plus ``transferred`` itself (a repeat
 #: transfer is idempotent).  Anything else is an anomaly or a re-transfer.
-_FORWARD_FROM: Dict[str, frozenset] = {
-    stage: frozenset(STAGES[:rank] + (("transferred",) if stage == "transferred" else ()))
+_FORWARD: Dict[str, frozenset] = {
+    stage: frozenset(range(rank)) | (
+        {rank} if stage == "transferred" else frozenset())
     for rank, stage in enumerate(STAGES)
 }
-#: :data:`_FORWARD_FROM` as stage ranks, for the reading columns.
-_FORWARD_RANKS: Dict[str, frozenset] = {
-    stage: frozenset(_RANK[source] for source in sources)
-    for stage, sources in _FORWARD_FROM.items()
-}
-#: Stage rank of a reading row no ``created`` record has filled.
+#: Stage rank of a row no ``created`` record has filled.
 _ABSENT = 255
+_ARCHIVED = _RANK["archived"]
 
 #: Sim-time latency buckets: 1 min, 10 min, 1 h, 6 h, 1 d, 2 d, 7 d, 30 d.
 LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -83,61 +78,66 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
-def _name(key: Hashable) -> str:
-    """The artifact ID of a ledger key (a reading's is ``(probe, task, seq)``)."""
-    if isinstance(key, tuple):
-        return "reading:{}:{}:{}".format(*key)
-    return key
+class _Rows:
+    """One group of ledger rows, held as columns (internal).
 
-
-#: A file's child: a gps artifact ID, or the ``(probe, task, seqs)`` readings.
-_Child = Union[str, Tuple[int, int, Sequence[int]]]
-
-
-class _Artifact:
-    """Mutable ledger row of one file or gps artifact (internal)."""
-
-    __slots__ = ("cls", "stage", "stage_time", "lost_cause", "container")
-
-    def __init__(self, cls: str, now: float) -> None:
-        self.cls = cls
-        self.stage = "created"
-        self.stage_time = now
-        self.lost_cause: Optional[str] = None
-        #: The ``file:`` artifact currently carrying this one, if any.
-        self.container: Optional[str] = None
-
-
-class _ReadingRows:
-    """Ledger rows of one ``(probe, task)``'s readings, as columns (internal).
-
-    Row ``seq`` is reading ``reading:{probe}:{task}:{seq}``: its stage rank
-    (:data:`_ABSENT` until created), the sim time it reached that stage,
-    and the ``file:`` artifact carrying it.  Lost causes are sparse.
+    A reading group holds the readings of one ``(probe, task)``: row
+    ``seq`` is reading ``reading:{probe}:{task}:{seq}``.  The ``file`` and
+    ``gps`` groups hold every artifact of their class, one row per
+    artifact ID (:meth:`row`), and ``names`` gives each row's ID back for
+    anomaly messages.  Each row has a stage rank (:data:`_ABSENT` until
+    created), the sim time it reached that stage and the ``file:``
+    artifact carrying it; lost causes are sparse.
     """
 
-    __slots__ = ("stages", "times", "containers", "lost")
+    __slots__ = ("key", "cls", "ids", "names", "stages", "times",
+                 "containers", "lost")
 
-    def __init__(self) -> None:
+    def __init__(self, key: Hashable, cls: str) -> None:
+        self.key = key
+        self.cls = cls
+        named = cls != "reading"
+        #: Artifact ID -> row, and row -> artifact ID, in a named group.
+        self.ids: Optional[Dict[str, int]] = {} if named else None
+        self.names: Optional[List[str]] = [] if named else None
         self.stages = bytearray()
         self.times = array("d")
         self.containers: List[Optional[str]] = []
-        #: seq -> the fault that destroyed the reading.
+        #: row -> the fault that destroyed the artifact.
         self.lost: Dict[int, str] = {}
 
     def grow(self, size: int) -> None:
-        """Make room for seqs below ``size``."""
+        """Make room for rows below ``size``."""
         extra = size - len(self.stages)
         if extra > 0:
             self.stages.extend(bytes((_ABSENT,)) * extra)
-            self.times.extend(array("d", bytes(8 * extra)))
+            self.times.frombytes(bytes(8 * extra))
             self.containers.extend([None] * extra)
 
-    def stage_of(self, seq: int) -> Optional[str]:
-        """The stage name of row ``seq``, or ``None`` if never created."""
-        if 0 <= seq < len(self.stages) and self.stages[seq] != _ABSENT:
-            return STAGES[self.stages[seq]]
-        return None
+    def row(self, artifact_id: str) -> int:
+        """The row of an artifact ID in a named group, made on first use.
+
+        A new row stays :data:`_ABSENT` until a ``created`` record fills
+        it, so an edge for an unknown artifact still finds its name.
+        """
+        row = self.ids.get(artifact_id)
+        if row is None:
+            row = self.ids[artifact_id] = len(self.names)
+            self.names.append(artifact_id)
+            self.stages.append(_ABSENT)
+            self.times.append(0.0)
+            self.containers.append(None)
+        return row
+
+    def name(self, row: int) -> str:
+        """The artifact ID of ``row``."""
+        if self.names is not None:
+            return self.names[row]
+        return "reading:{}:{}:{}".format(*self.key, row)
+
+
+#: A file's child: a group and the rows of it that the file carries.
+_Child = Tuple[_Rows, Sequence[int]]
 
 
 class ConservationReport:
@@ -209,19 +209,18 @@ class ProvenanceLedger:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: ``file:`` / ``gps:`` artifact id -> row.
-        self._artifacts: Dict[str, _Artifact] = {}
-        #: ``(probe, task)`` -> the rows of that task's readings.
-        self._readings: Dict[Tuple[int, int], _ReadingRows] = {}
+        self._files = _Rows("file", "file")
+        self._gps = _Rows("gps", "gps")
+        #: Every row group: ``file``, ``gps`` and one per ``(probe, task)``.
+        self._groups: Dict[Hashable, _Rows] = {"file": self._files,
+                                               "gps": self._gps}
         #: ``file:`` artifact id -> the children it carries.
         self._children: Dict[str, List[_Child]] = {}
         self._anomalies: List[str] = []
         self._trace = None
         self._report: Optional[ConservationReport] = None
-        # Cached metric handles: every reading pays an edge counter and a
-        # latency histogram per stage, so re-resolving name+labels through
-        # the registry each time dominates the ledger's cost (the <10%
-        # overhead budget is the constraint here, not clarity).
+        # Cached metric handles: re-resolving name+labels per edge through
+        # the registry would dominate the ledger's cost.
         self._edge_counters: Dict[Tuple[str, str], object] = {}
         self._latency_hists: Dict[Tuple[str, str], object] = {}
         self._anomaly_counter = self.metrics.counter("provenance_anomalies_total")
@@ -260,51 +259,38 @@ class ProvenanceLedger:
         if kind == "created":
             cls = detail.get("cls", "")
             if cls == "reading":
-                self._create_readings(detail["probe"], detail["task"],
-                                      detail["first_seq"], detail["count"], now)
+                rows = self._group((detail["probe"], detail["task"]))
+                first_seq = detail["first_seq"]
+                end = first_seq + detail["count"]
+                rows.grow(end)
+                self._create(rows, range(first_seq, end), now)
             elif cls == "gps":
-                self._create((detail["artifact"],), "gps", now)
+                gps = self._gps
+                self._create(gps, (gps.row(detail["artifact"]),), now)
         elif kind == "stored":
-            self._advance((detail["artifact"],), "stored", now)
+            gps = self._gps
+            self._advance(gps, (gps.row(detail["artifact"]),), "stored", now)
         elif kind == "queued":
-            self._on_queued(record)
-        elif kind == "transferred":
-            file_id = f"file:{detail['station']}:{detail['file']}"
-            self._cascade(file_id, "transferred", now)
-        elif kind == "archived":
-            file_id = f"file:{detail['station']}:{detail['file']}"
-            self._cascade(file_id, "archived", now)
+            self._on_queued(detail, now)
+        elif kind == "transferred" or kind == "archived":
+            self._cascade(f"file:{detail['station']}:{detail['file']}", kind, now)
 
-    def _on_queued(self, record) -> None:
-        detail = record.detail
-        now = record.time
+    def _on_queued(self, detail, now: float) -> None:
         file_id = f"file:{detail['station']}:{detail['file']}"
-        self._create((file_id,), "file", now)
-        self._advance((file_id,), "queued", now)
+        files = self._files
+        row = (files.row(file_id),)
+        self._create(files, row, now)
+        self._advance(files, row, "queued", now)
         children = self._children.setdefault(file_id, [])
         artifact = detail.get("artifact")
         if artifact is not None:
-            children.append(artifact)
+            children.append((self._gps, (self._gps.row(artifact),)))
         probe = detail.get("probe")
         if probe is not None:
-            children.append((probe, detail["task"], detail.get("seqs", ())))
-        for child in children:
-            if isinstance(child, str):
-                row = self._artifacts.get(child)
-                if row is not None:
-                    row.container = file_id
-                continue
-            probe, task, seqs = child
-            rows = self._readings.get((probe, task))
-            if rows is None:
-                continue
-            stages = rows.stages
-            containers = rows.containers
-            size = len(stages)
-            for seq in seqs:
-                if 0 <= seq < size and stages[seq] != _ABSENT:
-                    containers[seq] = file_id
-        self._advance_children(children, "queued", now)
+            children.append((self._group((probe, detail["task"])),
+                             detail.get("seqs", ())))
+        for rows, members in children:
+            self._advance(rows, members, "queued", now, claim=file_id)
 
     def _on_fetch(self, record) -> None:
         """Protocol fetch completion: delivered readings reach ``stored``."""
@@ -315,9 +301,8 @@ class ProvenanceLedger:
         task = detail.get("task")
         if probe is None or task is None:
             return
-        now = record.time
         seqs = detail.get("new_seqs", detail.get("delivered_seqs", ()))
-        self._advance_readings(probe, task, seqs, "stored", now)
+        self._advance(self._group((probe, task)), seqs, "stored", record.time)
         rerequested = detail.get("rerequested", 0)
         if rerequested:
             self.metrics.inc("provenance_edges_total", amount=rerequested,
@@ -327,215 +312,150 @@ class ProvenanceLedger:
         if record.kind != "fault_injected":
             return
         detail = record.detail
-        files = detail.get("files")
-        if not files:
-            return
         station = detail.get("station", "")
         cause = detail.get("fault", "fault")
-        for name in files:
+        for name in detail.get("files") or ():
             file_id = f"file:{station}:{name}"
-            if file_id in self._artifacts:
-                self._lose(file_id, cause)
+            row = self._files.ids.get(file_id)  # untracked files are ignored
+            # The fault destroyed the file: it and its riding children are lost.
+            if row is not None and self._lose(self._files, (row,), cause):
+                for rows, members in self._children.get(file_id, ()):
+                    self._lose(rows, members, cause, riding=file_id)
 
     # ------------------------------------------------------------------
     # Ledger mutations
     # ------------------------------------------------------------------
-    def _create(self, keys: Iterable[str], cls: str, now: float) -> None:
-        """Register a batch of artifacts born at ``now``: one counter bump."""
-        artifacts = self._artifacts
-        created = 0
-        for key in keys:
-            if key in artifacts:
-                if cls != "file":
-                    self._anomaly(f"duplicate create for {key}")
-                continue
-            artifacts[key] = _Artifact(cls, now)
-            created += 1
-        if created:
-            self._edge("created", cls, created)
-
-    def _create_readings(self, probe: int, task: int, first_seq: int,
-                         count: int, now: float) -> None:
-        """Register readings ``first_seq .. first_seq + count - 1`` of a task."""
-        rows = self._readings.get((probe, task))
+    def _group(self, key: Tuple[int, int]) -> _Rows:
+        """The reading group of one ``(probe, task)``, made on first use."""
+        rows = self._groups.get(key)
         if rows is None:
-            rows = self._readings[(probe, task)] = _ReadingRows()
-        end = first_seq + count
-        rows.grow(end)
+            rows = self._groups[key] = _Rows(key, "reading")
+        return rows
+
+    def _create(self, rows: _Rows, members: Iterable[int], now: float) -> None:
+        """Register a batch of existing rows born at ``now``: one counter bump.
+
+        A second create is an anomaly, except for a file: a station may
+        queue the same outbox file again.
+        """
         stages = rows.stages
         times = rows.times
         created = 0
-        for seq in range(first_seq, end):
-            if stages[seq] != _ABSENT:
-                self._anomaly(f"duplicate create for {_name((probe, task, seq))}")
+        for row in members:
+            if stages[row] != _ABSENT:
+                if rows.cls != "file":
+                    self._anomaly(f"duplicate create for {rows.name(row)}")
                 continue
-            stages[seq] = 0
-            times[seq] = now
+            stages[row] = 0
+            times[row] = now
             created += 1
         if created:
-            self._edge("created", "reading", created)
+            self._edge("created", rows.cls, created)
 
-    def _advance(self, keys: Iterable[str], stage: str, now: float) -> int:
-        """Move a batch of file/gps artifacts to ``stage``; returns how many moved.
+    def _advance(self, rows: _Rows, members: Iterable[int], stage: str,
+                 now: float, riding: Optional[str] = None,
+                 claim: Optional[str] = None) -> int:
+        """Move rows ``members`` to ``stage``, in order; returns how many moved.
 
-        Each run of artifacts sharing a class and a latency costs one edge
-        counter bump and one histogram bucket search.  Runs follow the
-        batch order, so every histogram sum still adds its samples one by
-        one in per-artifact order.  An edge that is not a plain forward
-        move goes to :meth:`_refuse`, which never observes a latency.
+        Each run of rows sharing a latency costs one edge counter bump and
+        one histogram bucket search.  Runs follow the batch order, so every
+        histogram sum still adds its samples one by one in per-artifact
+        order.  An edge that is not a plain forward move goes to
+        :meth:`_refuse`, which never observes a latency.  With ``riding``
+        set, only rows whose container is that file move, and rows the
+        ledger never saw are skipped silently.  With ``claim`` set, every
+        row the ledger saw, moved or not, now rides that file.
         """
-        artifacts = self._artifacts
-        forward = _FORWARD_FROM[stage]
-        moved = 0
-        run_cls = ""
-        run_latency = None
-        run_length = 0
-        for key in keys:
-            artifact = artifacts.get(key)
-            if artifact is None:
-                self._refuse(key, "", None, False, stage)
-                continue
-            if artifact.lost_cause is not None or artifact.stage not in forward:
-                self._refuse(key, artifact.cls, artifact.stage,
-                             artifact.lost_cause is not None, stage)
-                continue
-            cls = artifact.cls
-            latency = now - artifact.stage_time
-            if latency != run_latency or cls != run_cls:
-                if run_length:
-                    self._moved(stage, run_cls, run_latency, run_length)
-                    moved += run_length
-                run_cls = cls
-                run_latency = latency
-                run_length = 0
-            run_length += 1
-            artifact.stage = stage
-            artifact.stage_time = now
-        if run_length:
-            self._moved(stage, run_cls, run_latency, run_length)
-        return moved + run_length
-
-    def _advance_readings(self, probe: int, task: int, seqs: Iterable[int],
-                          stage: str, now: float,
-                          riding: Optional[str] = None) -> None:
-        """:meth:`_advance` for readings ``seqs`` of one task, in the given order.
-
-        With ``riding`` set, only readings whose container is that file
-        move, and readings the ledger never saw are skipped silently.
-        """
-        rows = self._readings.get((probe, task))
-        if rows is None:
-            if riding is None:
-                for seq in seqs:
-                    self._refuse((probe, task, seq), "reading", None, False, stage)
-            return
         stages = rows.stages
         times = rows.times
         containers = rows.containers
         lost = rows.lost
         size = len(stages)
-        forward = _FORWARD_RANKS[stage]
+        forward = _FORWARD[stage]
         rank = _RANK[stage]
+        moved = 0
         run_latency = None
         run_length = 0
-        for seq in seqs:
-            if riding is not None and not (0 <= seq < size
-                                           and containers[seq] == riding):
+        for row in members:
+            prior = stages[row] if 0 <= row < size else _ABSENT
+            if riding is not None and (prior == _ABSENT
+                                       or containers[row] != riding):
                 continue
-            current = stages[seq] if 0 <= seq < size else _ABSENT
-            if current not in forward or (lost and seq in lost):
-                self._refuse((probe, task, seq), "reading", rows.stage_of(seq),
-                             seq in lost, stage)
+            if claim is not None and prior != _ABSENT:
+                containers[row] = claim
+            if prior not in forward or (lost and row in lost):
+                self._refuse(rows, row, prior, stage)
                 continue
-            latency = now - times[seq]
+            latency = now - times[row]
             if latency != run_latency:
                 if run_length:
-                    self._moved(stage, "reading", run_latency, run_length)
+                    self._moved(stage, rows.cls, run_latency, run_length)
+                    moved += run_length
                 run_latency = latency
                 run_length = 0
             run_length += 1
-            stages[seq] = rank
-            times[seq] = now
+            stages[row] = rank
+            times[row] = now
         if run_length:
-            self._moved(stage, "reading", run_latency, run_length)
+            self._moved(stage, rows.cls, run_latency, run_length)
+        return moved + run_length
 
-    def _advance_children(self, children: Iterable[_Child], stage: str,
-                          now: float, riding: Optional[str] = None) -> None:
-        """Advance a file's children in order (see :meth:`_advance_readings`)."""
-        for child in children:
-            if not isinstance(child, str):
-                self._advance_readings(*child, stage, now, riding)
-            elif riding is None or getattr(self._artifacts.get(child),
-                                           "container", None) == riding:
-                self._advance((child,), stage, now)
-
-    def _refuse(self, key: Hashable, cls: str, prior: Optional[str],
-                lost: bool, stage: str) -> None:
-        """An edge that does not move ``key`` (now at ``prior``) forward.
+    def _refuse(self, rows: _Rows, row: int, prior: int, stage: str) -> None:
+        """An edge that does not move ``row`` (now at rank ``prior``) forward.
 
         It is an anomaly, a counted re-transfer, or an ignored repeat.
         """
-        if prior is None:
+        if prior == _ABSENT:
             # A trace record referenced data the ledger never saw created
             # (possible in unit rigs exercising one subsystem in isolation).
-            self._anomaly(f"{stage} edge for unknown artifact {_name(key)}")
-        elif lost:
-            self._anomaly(f"{stage} edge for lost artifact {_name(key)}")
+            self._anomaly(f"{stage} edge for unknown artifact {rows.name(row)}")
+        elif row in rows.lost:
+            self._anomaly(f"{stage} edge for lost artifact {rows.name(row)}")
         elif stage == "archived":
-            self._anomaly(f"duplicate archive of {_name(key)}")
-        elif _RANK[stage] < _RANK[prior]:
+            self._anomaly(f"duplicate archive of {rows.name(row)}")
+        elif _RANK[stage] < prior:
             # Re-transfer after a failed ingest is idempotent (a forward
             # edge); everything else repeating or regressing means the
             # edge feed is broken.
-            if stage == "transferred" and prior == "archived":
+            if stage == "transferred" and prior == _ARCHIVED:
                 # The station's post-upload delete failed, so it sent a
                 # file the server already archived: data is safe, the
                 # airtime was wasted.  Counted, not an anomaly.
                 self.metrics.inc("provenance_edges_total",
-                                 stage="retransferred", cls=cls)
+                                 stage="retransferred", cls=rows.cls)
             else:
-                self._anomaly(
-                    f"backwards edge {prior}->{stage} for {_name(key)}")
+                self._anomaly(f"backwards edge {STAGES[prior]}->{stage} "
+                              f"for {rows.name(row)}")
 
     def _cascade(self, file_id: str, stage: str, now: float) -> None:
         """Advance a file and, if it moved, the children riding it."""
-        if not self._advance((file_id,), stage, now):
-            return
-        # Cascade only to children still riding *this* copy — a reading
-        # re-fetched into a newer file belongs to that one.
-        self._advance_children(self._children.get(file_id, ()), stage, now,
-                               riding=file_id)
+        if self._advance(self._files, (self._files.row(file_id),), stage, now):
+            # Cascade only to children still riding *this* copy — a
+            # reading re-fetched into a newer file belongs to that one.
+            for rows, members in self._children.get(file_id, ()):
+                self._advance(rows, members, stage, now, riding=file_id)
 
-    def _lose(self, file_id: str, cause: str) -> None:
-        """A fault destroyed ``file_id``: it and the children riding it are lost."""
-        for child in self._lose_one(file_id, cause):
-            if isinstance(child, str):
-                row = self._artifacts.get(child)
-                if row is not None and row.container == file_id:
-                    self._lose_one(child, cause)
-                continue
-            probe, task, seqs = child
-            rows = self._readings.get((probe, task))
-            if rows is None:
-                continue
-            size = len(rows.stages)
-            for seq in seqs:
-                if (0 <= seq < size and rows.containers[seq] == file_id
-                        and seq not in rows.lost
-                        and rows.stages[seq] != _RANK["archived"]):
-                    rows.lost[seq] = cause
-                    self._lost("reading", cause)
+    def _lose(self, rows: _Rows, members: Iterable[int], cause: str,
+              riding: Optional[str] = None) -> int:
+        """A fault destroyed rows ``members``; returns how many were lost.
 
-    def _lose_one(self, artifact_id: str, cause: str) -> Sequence[_Child]:
-        """Mark one file or gps artifact lost; returns the children it strands."""
-        artifact = self._artifacts[artifact_id]
-        if artifact.lost_cause is not None or artifact.stage == "archived":
-            # Already gone, or the server has it: destroying the local copy
-            # is not data loss.
-            return ()
-        artifact.lost_cause = cause
-        self._lost(artifact.cls, cause)
-        return self._children.get(artifact_id, ())
+        A row already lost, already archived (the server has it, so
+        destroying the local copy is not data loss) or never created is
+        skipped, and so is one not riding ``riding`` when that is set.
+        """
+        stages = rows.stages
+        containers = rows.containers
+        lost = rows.lost
+        size = len(stages)
+        count = 0
+        for row in members:
+            if (not 0 <= row < size or stages[row] >= _ARCHIVED or row in lost
+                    or (riding is not None and containers[row] != riding)):
+                continue
+            lost[row] = cause
+            self._lost(rows.cls, cause)
+            count += 1
+        return count
 
     def _lost(self, cls: str, cause: str) -> None:
         self._edge("lost", cls)
@@ -569,16 +489,16 @@ class ProvenanceLedger:
     # ------------------------------------------------------------------
     def _tally(self) -> Counter:
         """Artifact count per ``(cls, lost cause or None, stage)``."""
-        tally = Counter((artifact.cls, artifact.lost_cause, artifact.stage)
-                        for artifact in self._artifacts.values())
-        for rows in self._readings.values():
+        tally: Counter = Counter()
+        for rows in self._groups.values():
+            cls = rows.cls
             stages = rows.stages
             for rank, stage in enumerate(STAGES):
-                tally["reading", None, stage] += stages.count(rank)
-            for seq, cause in rows.lost.items():
-                stage = STAGES[stages[seq]]
-                tally["reading", None, stage] -= 1
-                tally["reading", cause, stage] += 1
+                tally[cls, None, stage] += stages.count(rank)
+            for row, cause in rows.lost.items():
+                stage = STAGES[stages[row]]
+                tally[cls, None, stage] -= 1
+                tally[cls, cause, stage] += 1
         return tally
 
     def finish(self, now: float) -> ConservationReport:

@@ -23,14 +23,19 @@ fold keys across shards raise rather than silently double-count.
 
 Inside one sweep the chunked executor ships **partial** aggregates from
 worker processes instead (:meth:`RollupAggregate.to_partial_doc` /
-:meth:`RollupAggregate.absorb_partial`).  Partials carry the raw
-Shewchuk partial sums — lossless, unlike the correctly-rounded values a
-final rollup JSON records — so the parent's merged total is the exact
-sum of every raw increment regardless of how jobs were partitioned into
-chunks.  Rounding a shard's counter and then summing the rounded values
+:meth:`RollupAggregate.absorb_partial`).  A partial has the same metric
+entries as a rollup document, but its counters and histogram sums carry
+the raw Shewchuk partial sums — lossless, unlike the correctly-rounded
+values a final rollup JSON records — so the parent's merged total is the
+exact sum of every raw increment regardless of how jobs were partitioned
+into chunks.  Rounding a shard's counter and then summing the rounded values
 is *not* partition-independent; shipping partials is what keeps the
 rollup byte-identical across ``--jobs``, chunk sizes, and shared-dir
 drainers.
+
+Folding a snapshot, absorbing a partial and merging a shard all run the
+same merge body; they differ only in where a gauge's fold key comes from
+and in what a repeated fold key means.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ class ExactSum:
         return list(self._partials)
 
     def add_partials(self, values: Iterable[float]) -> None:
-        """Fold another accumulator's :meth:`partials` into this one."""
+        """Fold values, such as another accumulator's :meth:`partials`, in."""
         for value in values:
             self.add(float(value))
 
@@ -126,7 +131,7 @@ class RollupAggregate:
         return len(self._keys)
 
     # ------------------------------------------------------------------
-    # Folding
+    # Merging
     # ------------------------------------------------------------------
     def fold(self, key: FoldKey, snapshot: Mapping[str, object]) -> bool:
         """Fold one job's ``MetricsRegistry.snapshot()`` under ``key``.
@@ -135,87 +140,15 @@ class RollupAggregate:
         a duplicate fold key means an identical job digest, hence an
         identical snapshot, so skipping keeps the aggregate exact.
         """
-        key = (str(key[0]), str(key[1]), int(key[2]))
+        key = _fold_key(key)
         if key in self._keys:
             return False
         self._keys.add(key)
-        for entry in snapshot["metrics"]:  # type: ignore[index]
-            name = entry["name"]
-            kind = entry["kind"]
-            pinned = self._kinds.setdefault(name, kind)
-            if pinned != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {pinned} in one run and a {kind} "
-                    f"in another — snapshots disagree")
-            metric_key = (name, tuple(sorted(
-                (str(k), str(v)) for k, v in entry["labels"].items())))
-            if kind == "counter":
-                self._counters.setdefault(metric_key, ExactSum()).add(
-                    float(entry["value"]))
-            elif kind == "gauge":
-                candidate = (key, float(entry["value"]))
-                current = self._gauges.get(metric_key)
-                if current is None or candidate[0] > current[0]:
-                    self._gauges[metric_key] = candidate
-            elif kind == "histogram":
-                buckets = tuple(float(b) for b in entry["buckets"])
-                hist = self._hists.get(metric_key)
-                if hist is None:
-                    hist = self._hists[metric_key] = _HistAccumulator(buckets)
-                elif hist.buckets != buckets:
-                    raise ValueError(
-                        f"histogram {name!r} bucket specs disagree across "
-                        f"runs: {hist.buckets} vs {buckets}")
-                for index, count in enumerate(entry["counts"]):
-                    hist.counts[index] += int(count)
-                hist.inf_count += int(entry["inf_count"])
-                hist.sum.add(float(entry["sum"]))
-                hist.count += int(entry["count"])
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} in snapshot")
+        self._merge(snapshot["metrics"], key)  # type: ignore[index]
         return True
 
-    # ------------------------------------------------------------------
-    # Worker partials (intra-sweep IPC)
-    # ------------------------------------------------------------------
     #: Wire-format marker for worker partial documents.
-    PARTIAL_VERSION = "rollup-partial-1"
-
-    def to_partial_doc(self) -> Dict[str, object]:
-        """The aggregate as a lossless partial for parent-side merging.
-
-        Counter values and histogram sums ship as raw Shewchuk partials
-        (:meth:`ExactSum.partials`), not rounded floats: the parent adds
-        them straight into its own accumulators, so the merged total is
-        the exact sum of every underlying increment no matter how the
-        sweep's jobs were cut into chunks.  Gauges ship with their
-        winning fold key so last-by-key survives the hop.  JSON-safe by
-        construction (``repr`` round-trips floats exactly).
-        """
-        counters = [
-            {"name": name, "labels": dict(labels), "partials": acc.partials()}
-            for (name, labels), acc in self._counters.items()
-        ]
-        gauges = [
-            {"name": name, "labels": dict(labels), "key": list(key),
-             "value": value}
-            for (name, labels), (key, value) in self._gauges.items()
-        ]
-        hists = [
-            {"name": name, "labels": dict(labels),
-             "buckets": list(hist.buckets), "counts": list(hist.counts),
-             "inf_count": hist.inf_count,
-             "sum_partials": hist.sum.partials(), "count": hist.count}
-            for (name, labels), hist in self._hists.items()
-        ]
-        return {
-            "version": self.PARTIAL_VERSION,
-            "keys": [list(key) for key in sorted(self._keys)],
-            "kinds": dict(self._kinds),
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": hists,
-        }
+    PARTIAL_VERSION = "rollup-partial-2"
 
     def absorb_partial(self, doc: Mapping[str, object]) -> None:
         """Merge one worker's :meth:`to_partial_doc` into this aggregate.
@@ -224,81 +157,132 @@ class RollupAggregate:
         exactly one chunk, so a shared key means the executor dispatched
         a job twice and the counters would double-count.
         """
-        version = doc.get("version")
-        if version != self.PARTIAL_VERSION:
-            raise ValueError(f"unsupported rollup partial version {version!r}")
-        keys = {(str(k[0]), str(k[1]), int(k[2]))
-                for k in doc["keys"]}  # type: ignore[union-attr]
+        self._absorb(doc, self.PARTIAL_VERSION)
+
+    def _absorb(self, doc: Mapping[str, object], version: object) -> None:
+        """Merge a partial or rollup document whose keys must all be new."""
+        if doc.get("version") != version:
+            raise ValueError(
+                f"unsupported rollup version {doc.get('version')!r}")
+        keys = {_fold_key(key) for key in doc["keys"]}  # type: ignore[union-attr]
         overlap = keys & self._keys
         if overlap:
-            sample = sorted(overlap)[0]
             raise ValueError(
-                f"rollup partials overlap on fold key {sample!r} "
+                f"rollup documents overlap on fold key {sorted(overlap)[0]!r} "
                 f"({len(overlap)} shared keys) — a job was folded twice")
-        for name, kind in doc["kinds"].items():  # type: ignore[union-attr]
-            pinned = self._kinds.setdefault(name, kind)
+        self._merge(doc["metrics"], None)  # type: ignore[index]
+        self._keys.update(keys)
+
+    def _merge(self, entries: Iterable[Mapping], key: Optional[FoldKey]) -> None:
+        """Add metric entries into the aggregate: the one merge body.
+
+        A counter value, or a histogram sum, arrives either as one float
+        (``value`` / ``sum``) or as raw Shewchuk partials (``partials`` /
+        ``sum_partials``).  A gauge competes under ``key`` when folding a
+        snapshot, else under the winning key its entry recorded.
+        """
+        kinds = self._kinds
+        counters = self._counters
+        gauges = self._gauges
+        hists = self._hists
+        for entry in entries:
+            name = entry["name"]
+            kind = entry["kind"]
+            pinned = kinds.setdefault(name, kind)
             if pinned != kind:
                 raise ValueError(
-                    f"metric {name!r} is a {pinned} in one partial and a "
-                    f"{kind} in another")
-        for entry in doc["counters"]:  # type: ignore[index]
-            self._counters.setdefault(
-                _entry_key(entry), ExactSum()).add_partials(entry["partials"])
-        for entry in doc["gauges"]:  # type: ignore[index]
-            key = entry["key"]
-            candidate = ((str(key[0]), str(key[1]), int(key[2])),
-                         float(entry["value"]))
+                    f"metric {name!r} is a {pinned} in one run and a {kind} "
+                    f"in another — documents disagree")
             metric_key = _entry_key(entry)
-            current = self._gauges.get(metric_key)
-            if current is None or candidate[0] > current[0]:
-                self._gauges[metric_key] = candidate
-        for entry in doc["histograms"]:  # type: ignore[index]
-            buckets = tuple(float(b) for b in entry["buckets"])
-            metric_key = _entry_key(entry)
-            hist = self._hists.get(metric_key)
-            if hist is None:
-                hist = self._hists[metric_key] = _HistAccumulator(buckets)
-            elif hist.buckets != buckets:
-                raise ValueError(
-                    f"histogram {entry['name']!r} bucket specs disagree "
-                    f"across partials: {hist.buckets} vs {buckets}")
-            for index, count in enumerate(entry["counts"]):
-                hist.counts[index] += int(count)
-            hist.inf_count += int(entry["inf_count"])
-            hist.sum.add_partials(entry["sum_partials"])
-            hist.count += int(entry["count"])
-        self._keys.update(keys)
+            if kind == "counter":
+                counter = counters.get(metric_key)
+                if counter is None:
+                    counter = counters[metric_key] = ExactSum()
+                partials = entry.get("partials")
+                if partials is None:
+                    counter.add(float(entry["value"]))
+                else:
+                    counter.add_partials(partials)
+            elif kind == "gauge":
+                candidate = (key if key is not None else _fold_key(entry["key"]),
+                             float(entry["value"]))
+                current = gauges.get(metric_key)
+                if current is None or candidate[0] > current[0]:
+                    gauges[metric_key] = candidate
+            elif kind == "histogram":
+                buckets = tuple(float(b) for b in entry["buckets"])
+                hist = hists.get(metric_key)
+                if hist is None:
+                    hist = hists[metric_key] = _HistAccumulator(buckets)
+                elif hist.buckets != buckets:
+                    raise ValueError(
+                        f"histogram {name!r} bucket specs disagree across "
+                        f"runs: {hist.buckets} vs {buckets}")
+                for index, count in enumerate(entry["counts"]):
+                    hist.counts[index] += int(count)
+                hist.inf_count += int(entry["inf_count"])
+                partials = entry.get("sum_partials")
+                if partials is None:
+                    hist.sum.add(float(entry["sum"]))
+                else:
+                    hist.sum.add_partials(partials)
+                hist.count += int(entry["count"])
+            else:
+                raise ValueError(f"unknown metric kind {kind!r} in snapshot")
 
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def to_doc(self) -> Dict[str, object]:
-        """The aggregate as a canonical JSON-safe document."""
-        entries: List[Dict[str, object]] = []
-        for (name, labels), acc in self._counters.items():
-            entries.append({
-                "name": name, "kind": "counter", "labels": dict(labels),
-                "value": acc.value(),
-            })
-        for (name, labels), (key, value) in self._gauges.items():
-            entries.append({
-                "name": name, "kind": "gauge", "labels": dict(labels),
-                "value": value, "key": list(key),
-            })
-        for (name, labels), hist in self._hists.items():
-            entries.append({
-                "name": name, "kind": "histogram", "labels": dict(labels),
-                "buckets": list(hist.buckets), "counts": list(hist.counts),
-                "inf_count": hist.inf_count, "sum": hist.sum.value(),
-                "count": hist.count,
-            })
-        entries.sort(key=lambda e: (e["name"], sorted(e["labels"].items())))
+    def _doc(self, version: object, lossless: bool) -> Dict[str, object]:
+        """The aggregate's fold keys and metric entries.
+
+        ``lossless`` ships counter values and histogram sums as raw partials
+        (``partials`` / ``sum_partials``), not rounded ``value`` / ``sum``,
+        and skips the canonical (name, sorted labels) order the merge does
+        not need; metric keys hold their labels sorted, so they sort so.
+        """
+        total = ExactSum.partials if lossless else ExactSum.value
+        value, hist_sum = (("partials", "sum_partials") if lossless
+                           else ("value", "sum"))
+        metrics: List[Tuple[_MetricKey, Dict[str, object]]] = []
+        for metric_key, acc in self._counters.items():
+            metrics.append((metric_key, {
+                "name": metric_key[0], "kind": "counter",
+                "labels": dict(metric_key[1]), value: total(acc),
+            }))
+        for metric_key, (key, gauge) in self._gauges.items():
+            metrics.append((metric_key, {
+                "name": metric_key[0], "kind": "gauge",
+                "labels": dict(metric_key[1]), "value": gauge, "key": list(key),
+            }))
+        for metric_key, hist in self._hists.items():
+            metrics.append((metric_key, {
+                "name": metric_key[0], "kind": "histogram",
+                "labels": dict(metric_key[1]), "buckets": list(hist.buckets),
+                "counts": list(hist.counts), "inf_count": hist.inf_count,
+                hist_sum: total(hist.sum), "count": hist.count,
+            }))
+        if not lossless:
+            metrics.sort(key=lambda pair: pair[0])
         return {
-            "version": 1,
+            "version": version,
             "runs": self.runs,
             "keys": [list(key) for key in sorted(self._keys)],
-            "metrics": entries,
+            "metrics": [entry for _metric_key, entry in metrics],
         }
+
+    def to_doc(self) -> Dict[str, object]:
+        """The aggregate as a canonical JSON-safe document."""
+        return self._doc(1, lossless=False)
+
+    def to_partial_doc(self) -> Dict[str, object]:
+        """The aggregate as a lossless partial for parent-side merging.
+
+        :meth:`to_doc`'s entries, with raw :meth:`ExactSum.partials` in
+        place of rounded counter values and histogram sums (see the module
+        docstring); gauges keep their winning fold key.  JSON-safe.
+        """
+        return self._doc(self.PARTIAL_VERSION, lossless=True)
 
     def to_json(self) -> str:
         """Canonical JSON text (the byte-identity surface)."""
@@ -306,25 +290,16 @@ class RollupAggregate:
 
     def to_registry(self) -> MetricsRegistry:
         """Materialise the aggregate as a plain registry (for exporters)."""
-        registry = MetricsRegistry()
-        for entry in self.to_doc()["metrics"]:  # type: ignore[index]
-            labels = entry["labels"]
-            if entry["kind"] == "counter":
-                registry.counter(entry["name"], **labels).inc(entry["value"])
-            elif entry["kind"] == "gauge":
-                registry.gauge(entry["name"], **labels).set(entry["value"])
-            else:
-                hist = registry.histogram(entry["name"],
-                                          buckets=entry["buckets"], **labels)
-                hist.counts = [int(c) for c in entry["counts"]]
-                hist.inf_count = int(entry["inf_count"])
-                hist.sum = float(entry["sum"])
-                hist.count = int(entry["count"])
-        return registry
+        return MetricsRegistry.from_snapshot(self.to_doc())
+
+
+def _fold_key(raw: Sequence) -> FoldKey:
+    """A fold key in canonical form (JSON turns its tuple into a list)."""
+    return (str(raw[0]), str(raw[1]), int(raw[2]))
 
 
 def _entry_key(entry: Mapping[str, object]) -> _MetricKey:
-    """The aggregate-internal identity of a partial-doc metric entry."""
+    """The aggregate-internal identity of a metric entry."""
     return (entry["name"], tuple(sorted(
         (str(k), str(v))
         for k, v in entry["labels"].items())))  # type: ignore[union-attr]
@@ -340,50 +315,5 @@ def merge_rollups(docs: Iterable[Mapping[str, object]]) -> Dict[str, object]:
     """
     merged = RollupAggregate()
     for doc in docs:
-        version = doc.get("version")
-        if version != 1:
-            raise ValueError(f"unsupported rollup version {version!r}")
-        shard_keys = {tuple(key) for key in doc["keys"]}  # type: ignore[index]
-        overlap = {(k[0], k[1], k[2]) for k in shard_keys} & merged._keys
-        if overlap:
-            sample = sorted(overlap)[0]
-            raise ValueError(
-                f"rollup shards overlap on fold key {sample!r} "
-                f"({len(overlap)} shared keys) — refusing to double-count")
-        for entry in doc["metrics"]:  # type: ignore[index]
-            name = entry["name"]
-            kind = entry["kind"]
-            pinned = merged._kinds.setdefault(name, kind)
-            if pinned != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {pinned} in one shard and a "
-                    f"{kind} in another")
-            metric_key = (name, tuple(sorted(
-                (str(k), str(v)) for k, v in entry["labels"].items())))
-            if kind == "counter":
-                merged._counters.setdefault(metric_key, ExactSum()).add(
-                    float(entry["value"]))
-            elif kind == "gauge":
-                key = entry["key"]
-                candidate = ((str(key[0]), str(key[1]), int(key[2])),
-                             float(entry["value"]))
-                current = merged._gauges.get(metric_key)
-                if current is None or candidate[0] > current[0]:
-                    merged._gauges[metric_key] = candidate
-            else:
-                buckets = tuple(float(b) for b in entry["buckets"])
-                hist = merged._hists.get(metric_key)
-                if hist is None:
-                    hist = merged._hists[metric_key] = _HistAccumulator(buckets)
-                elif hist.buckets != buckets:
-                    raise ValueError(
-                        f"histogram {name!r} bucket specs disagree across "
-                        f"shards: {hist.buckets} vs {buckets}")
-                for index, count in enumerate(entry["counts"]):
-                    hist.counts[index] += int(count)
-                hist.inf_count += int(entry["inf_count"])
-                hist.sum.add(float(entry["sum"]))
-                hist.count += int(entry["count"])
-        merged._keys.update((str(k[0]), str(k[1]), int(k[2]))
-                            for k in shard_keys)
+        merged._absorb(doc, 1)
     return merged.to_doc()

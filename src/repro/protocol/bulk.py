@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.comms.probe_radio import ProbeRadioLink
@@ -110,8 +111,13 @@ class BulkFetcher:
         self.request_batch_size = request_batch_size
         #: (probe_id, task_id) -> set of received seqs; survives across days.
         self.received: Dict[Tuple[int, int], Set[int]] = {}
-        #: (probe_id, task_id) -> {seq: Reading} actually held.
+        #: (probe_id, task_id) -> {seq: Reading} actually held, in arrival order.
         self.store: Dict[Tuple[int, int], Dict[int, Reading]] = {}
+        #: (probe_id, task_id) -> how many of ``store`` :meth:`take_unstaged`
+        #: has handed out: always its first ones in arrival order.
+        self.staged: Dict[Tuple[int, int], int] = {}
+        #: Tasks the probe has retired; forgotten once handed out.
+        self.retired: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # Control exchanges
@@ -156,7 +162,7 @@ class BulkFetcher:
             received_new=result.received_new,
             missing_after=result.missing_after,
             complete=result.complete,
-            new_seqs=list(result.new_seqs),
+            new_seqs=result.new_seqs,
             rerequested=result.rerequested,
         )
         return result
@@ -198,6 +204,7 @@ class BulkFetcher:
             ok = yield from self._control_exchange(link, result)
             if ok:
                 probe.mark_complete(task.task_id)
+                self.retired.add(key)
                 result.complete = True
 
     #: Max packets per :meth:`ProbeRadioLink.transmit_sequence` burst in the
@@ -288,12 +295,25 @@ class BulkFetcher:
         """The readings actually held for one (probe, task)."""
         return dict(self.store.get((probe_id, task_id), {}))
 
-    def release(self, probe_id: int, task_id: int) -> None:
-        """Forget one (probe, task) the probe has retired.
+    def take_unstaged(self, probe_id: int) -> List[Tuple[int, List[Reading]]]:
+        """Hand out every reading of ``probe_id`` not handed out yet, per task.
 
-        :meth:`fetch` keeps what it received across sessions so an
-        interrupted task resumes; once the probe confirms the task and the
-        caller has staged its holdings, nothing reads them again.
+        Each held reading is handed out exactly once, in arrival order,
+        including the ones a session received before its job was killed
+        (watchdog cut, brown-out) and so never reached its caller.  A task
+        the probe has retired is forgotten once its readings are out:
+        nothing reads it again.  :meth:`fetch` alone never forgets, so an
+        interrupted task resumes on a later day.
         """
-        self.received.pop((probe_id, task_id), None)
-        self.store.pop((probe_id, task_id), None)
+        taken = []
+        for key in [key for key in self.store if key[0] == probe_id]:
+            held = self.store[key]
+            mark = self.staged.get(key, 0)
+            if len(held) > mark:
+                taken.append((key[1], list(islice(held.values(), mark, None))))
+                self.staged[key] = len(held)
+            if key in self.retired:
+                self.retired.discard(key)
+                for memory in (self.received, self.store, self.staged):
+                    memory.pop(key, None)
+        return taken

@@ -45,7 +45,7 @@ class Reading:
 
 @dataclass(frozen=True, slots=True)
 class ReadingColumns:
-    """A completed task's readings as columns, the form they are staged in.
+    """A staged probe file's readings as columns.
 
     Row ``i`` of every column is one reading, in the order the base station
     received them.  One ``array`` per field replaces one

@@ -52,3 +52,20 @@ def test_retained_bytes_per_reading(mission):
     assert report.by_class["reading"]["queued"] > 10_000
     taken = sum(probe.readings_taken for probe in deployment.base.probes)
     assert retained / taken <= DICT_PER_READING_BYTES / 3
+
+
+def test_one_seqs_list_per_fetch(mission):
+    """A staged probes file's ``queued`` record shares its fetch's
+    ``new_seqs`` list instead of holding a copy of it."""
+    deployment, _report, _retained = mission
+    trace = deployment.sim.trace
+    fetched = {(record.detail["probe"], record.detail["task"],
+                tuple(record.detail["new_seqs"])): record.detail["new_seqs"]
+               for record in trace.select(kind="fetch_done")
+               if record.detail["received_new"]}
+    queued = [record.detail for record in trace.select(kind="queued")
+              if record.source == "prov" and "probe" in record.detail]
+    assert len(queued) == len(fetched) > 0
+    for detail in queued:
+        key = (detail["probe"], detail["task"], tuple(detail["seqs"]))
+        assert detail["seqs"] is fetched[key]

@@ -140,11 +140,10 @@ class TestGaugeAndHistogramPartials:
     def test_bucket_mismatch_rejected(self):
         parent = RollupAggregate()
         parent.fold(key(0), self.hist_snapshot(0.5))
-        doc = {"version": RollupAggregate.PARTIAL_VERSION,
-               "keys": [list(key(1))], "kinds": {"latency": "histogram"},
-               "counters": [], "gauges": [],
-               "histograms": [{"name": "latency", "labels": {},
-                               "buckets": [2.0, 20.0], "counts": [0, 0],
-                               "inf_count": 0, "sum_partials": [], "count": 0}]}
+        child = RollupAggregate()
+        child.fold(key(1), {"version": 1, "metrics": [
+            {"name": "latency", "kind": "histogram", "labels": {},
+             "buckets": [2.0, 20.0], "counts": [0, 0], "inf_count": 0,
+             "sum": 0.0, "count": 0}]})
         with pytest.raises(ValueError, match="bucket"):
-            parent.absorb_partial(doc)
+            parent.absorb_partial(wire(child.to_partial_doc()))

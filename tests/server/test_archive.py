@@ -49,10 +49,60 @@ class TestRawExtraction:
             digests[channel] = hashlib.sha256(
                 repr(list(series.items())).encode()).hexdigest()[:16]
         assert digests == {
-            "conductivity_us": "f942ac71e513905d",
-            "tilt_deg": "8c8e392a01bbc8d3",
-            "pressure_m": "c833600684c2da99",
+            "conductivity_us": "33ad70a6d7796e4d",
+            "tilt_deg": "c48acd876496c799",
+            "pressure_m": "b49168489147e722",
         }
+
+    def test_every_archived_reading_reaches_the_series(self):
+        """Each staged probes file carries the readings it counts, so on a
+        mission without faults every reading the provenance ledger calls
+        archived has its values in the archive, once per channel."""
+        deployment = Deployment(DeploymentConfig(seed=0, probe_sampling_interval_s=120.0))
+        deployment.run_days(2)
+        report = deployment.sim.obs.finalise(deployment.sim)
+        assert report.ok and report.lost == 0
+        archived = report.by_class["reading"]["archived"]
+        assert archived > 2000
+        archive = ScienceArchive(deployment.server)
+        for channel in ("conductivity_us", "tilt_deg", "pressure_m"):
+            values = sum(map(len, archive.probe_series(channel).values()))
+            assert values == archived, channel
+
+    def test_readings_of_a_killed_fetch_reach_the_series(self):
+        """A watchdog cut in the middle of a stream kills the fetch before
+        the station stages what it received.  The next file staged for the
+        probe carries those readings, so the archive ends up with every
+        reading of the task exactly once, and the ledger archives them."""
+        deployment = Deployment(DeploymentConfig(seed=0, probe_sampling_interval_s=120.0))
+        base = deployment.base
+        probe = next(probe for probe in base.probes if probe.probe_id == 20)
+        cut = {}
+
+        def cut_mid_fetch():
+            task = cut["task"] = probe.task()
+            key = (probe.probe_id, task.task_id)
+            cut["held"] = len(base.fetcher.store.get(key, ()))
+            cut["fetched"] = [record for record in deployment.sim.trace.select(
+                kind="fetch_done") if (record.detail["probe"],
+                                       record.detail["task"]) == key]
+            base.gumstix.power_off(clean=False)
+
+        # Seed 0 streams probe 20's first task over about 42,362-42,389 s;
+        # its first burst of readings lands at about 42,381 s.
+        deployment.sim.call_at(42_385.0, cut_mid_fetch)
+        deployment.run_days(4)
+        # The cut landed inside the fetch, after some readings arrived.
+        assert cut["held"] > 0 and not cut["fetched"]
+        assert probe.tasks_completed >= 1
+        times = [time for time, _value in
+                 ScienceArchive(deployment.server).probe_series("conductivity_us")[20]]
+        assert len(times) == len(set(times))
+        assert {reading.time for reading in cut["task"].readings} <= set(times)
+        report = deployment.sim.obs.finalise(deployment.sim)
+        values = sum(map(len, ScienceArchive(deployment.server)
+                         .probe_series("conductivity_us").values()))
+        assert values == report.by_class["reading"]["archived"]
 
     def test_sensor_series(self, week):
         _deployment, archive = week
