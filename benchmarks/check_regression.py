@@ -3,24 +3,25 @@
 Usage (what CI runs)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_kernel_performance.py \
-        --benchmark-json=bench_run.json
+        benchmarks/test_tiebreak_performance.py benchmarks/test_throughput.py \
+        benchmarks/test_sweep_scale.py benchmarks/test_obs_overhead.py \
+        benchmarks/test_fleet_smoke.py --benchmark-json=bench_run.json
     python benchmarks/check_regression.py bench_run.json
 
-A benchmark fails the gate when its measured ``min`` is more than
-``tolerance`` slower than the reference ``current_min_ms`` in
-``benchmarks/BENCH_kernel.json`` (default 30%; override with
-``--tolerance`` or the ``REPRO_BENCH_TOLERANCE`` environment variable).
-Faster-than-reference results never fail — they are the point — but are
-reported so the reference can be re-pinned when an improvement lands.
+Every row of ``benchmarks/BENCH.json`` is gated.  A row fails when its
+measured ``min`` is more than the tolerance slower than its
+``current_min_ms``.  The tolerance is the row's own ``tolerance`` when it
+has one, else the ``REPRO_BENCH_TOLERANCE`` environment variable, else
+0.30.  Faster-than-reference results never fail — they are the point —
+but are reported so the reference can be re-pinned when an improvement
+lands.
 
-A reference entry may also carry a ``counters`` table pinning bounds on
-values the benchmark recorded in ``benchmark.extra_info`` (e.g. the
-endurance reference ``BENCH_endurance.json`` bounds the adaptive bus's
-sync count).  Counter bounds are absolute — simulation counters are
-deterministic for a pinned seed, so no noise tolerance applies; the
-pinned bounds themselves carry the headroom.  ``baseline_min_ms`` and
-``baseline_counters`` record a retired engine's last measurement for
-reference and are not gated.
+A row may also carry a ``counters`` table bounding values the benchmark
+recorded in ``benchmark.extra_info`` (e.g. the E20 row bounds the power
+bus's sync count).  Counter bounds are absolute — simulation counters
+are deterministic for a pinned seed, so no noise tolerance applies; the
+pinned bounds themselves carry the headroom.  ``baselines`` records each
+retired engine's last measurement for reference and is not gated.
 
 Exit codes: 0 ok, 1 regression(s), 2 bad input.
 """
@@ -33,7 +34,9 @@ import os
 import sys
 from pathlib import Path
 
-DEFAULT_REFERENCE = Path(__file__).parent / "BENCH_kernel.json"
+DEFAULT_REFERENCE = Path(__file__).parent / "BENCH.json"
+#: Allowed slowdown fraction for rows without their own ``tolerance``.
+DEFAULT_TOLERANCE = 0.30
 
 
 def load_run(path: str) -> dict:
@@ -73,18 +76,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("run_json", help="pytest-benchmark --benchmark-json output")
     parser.add_argument("--reference", default=str(DEFAULT_REFERENCE),
-                        help="committed reference (default: BENCH_kernel.json)")
-    parser.add_argument("--tolerance", type=float,
-                        default=float(os.environ.get("REPRO_BENCH_TOLERANCE", 0.30)),
-                        help="allowed slowdown fraction vs the reference "
-                             "(default 0.30, env REPRO_BENCH_TOLERANCE)")
+                        help="committed reference (default: benchmarks/BENCH.json)")
     args = parser.parse_args(argv)
 
     try:
+        default_tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE",
+                                                 DEFAULT_TOLERANCE))
         run = load_run(args.run_json)
         with open(args.reference, "r", encoding="utf-8") as fh:
             reference = json.load(fh)["benchmarks"]
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"check_regression: cannot load inputs: {exc}", file=sys.stderr)
         return 2
     if not run:
@@ -97,27 +98,28 @@ def main(argv=None) -> int:
             print(f"  MISSING {name}: not in this run (skipped?)")
             failures.append(name)
             continue
+        tolerance = ref.get("tolerance", default_tolerance)
         measured = run[name]["min_ms"]
-        allowed = ref["current_min_ms"] * (1.0 + args.tolerance)
         ratio = measured / ref["current_min_ms"]
         verdict = "ok"
-        if measured > allowed:
+        if measured > ref["current_min_ms"] * (1.0 + tolerance):
             verdict = "REGRESSION"
             failures.append(name)
-        elif ratio < 1.0 - args.tolerance:
+        elif ratio < 1.0 - tolerance:
             verdict = "faster (consider re-pinning the reference)"
         print(f"  {name}: min {measured:.3f} ms vs reference "
-              f"{ref['current_min_ms']:.3f} ms ({ratio:.2f}x) — {verdict}")
+              f"{ref['current_min_ms']:.3f} ms ({ratio:.2f}x, "
+              f"tolerance {tolerance:.0%}) — {verdict}")
         if "counters" in ref:
             check_counters(name, ref["counters"], run[name]["extra_info"],
                            failures)
 
     if failures:
-        print(f"check_regression: {len(failures)} benchmark(s) regressed beyond "
-              f"{args.tolerance:.0%}: {', '.join(failures)}", file=sys.stderr)
+        print(f"check_regression: {len(failures)} benchmark(s) regressed: "
+              f"{', '.join(failures)}", file=sys.stderr)
         return 1
     print(f"check_regression: all {len(reference)} benchmarks within "
-          f"{args.tolerance:.0%} of the reference")
+          f"tolerance of the reference")
     return 0
 
 

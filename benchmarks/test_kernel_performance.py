@@ -82,7 +82,9 @@ def test_deployment_day_rate(benchmark):
     """Whole-system speed: one simulated day of the full deployment.
 
     The E19 year bench needs 365 of these; keep one day comfortably under
-    a tenth of a second so the year stays under a minute.
+    a tenth of a second so the year stays under a minute.  Under the
+    default fifo tie-break this is also the fifo arm the lifo and shuffle
+    rows of ``test_tiebreak_performance.py`` compare against.
     """
 
     deployment = Deployment(DeploymentConfig(seed=1))

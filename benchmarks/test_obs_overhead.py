@@ -10,7 +10,7 @@ is allowed to cost more.
 The provenance ledger rides the same budget: a full mission with the
 ledger subscribed must stay within 10% of the identical mission with it
 detached.  CI also re-times the two mission arms as pytest-benchmark
-rows gated against ``BENCH_obs.json``.
+rows gated against ``BENCH.json``.
 """
 
 import time
@@ -161,7 +161,7 @@ def test_provenance_overhead_under_10_percent():
 
 
 def test_mission_with_provenance(benchmark):
-    """BENCH_obs row: the mission with the ledger subscribed.
+    """BENCH.json row: the mission with the ledger subscribed.
 
     ``extra_info`` pins the deterministic artifact accounting for the
     benchmark seed, so check_regression bounds correctness alongside time.
@@ -179,7 +179,7 @@ def test_mission_with_provenance(benchmark):
 
 
 def test_mission_without_provenance(benchmark):
-    """BENCH_obs row: the identical mission with the ledger detached."""
+    """BENCH.json row: the identical mission with the ledger detached."""
 
     def run():
         mission(False)

@@ -8,10 +8,10 @@ parent-side and never reach the pool.
 
 The one-future-per-job engine it replaced is retired.  Its measured cost
 on this campaign — 7,232,715 IPC payload bytes and 500 parent folds, 9.3 s
-cold on the pinning host — stays frozen as ``baseline_min_ms`` and
-``baseline_counters`` in ``BENCH_sweep.json``.  The cold row's counter
-``max`` bounds keep the >= 10x IPC-payload and parent-fold reductions
-enforced, and ``check_regression.py`` gates the wall clock.  The cold
+cold on the pinning host — stays frozen under the rows' ``baselines`` in
+``BENCH.json``.  The cold row's counter ``max`` bounds keep the >= 10x
+IPC-payload and parent-fold reductions enforced, and
+``check_regression.py`` gates the wall clock.  The cold
 and warm sweeps must reproduce the sweep and rollup bytes both engines
 agreed on (:data:`SWEEP_SHA`, :data:`ROLLUP_SHA`).  Run the whole module:
 the warm arm reads the cache the cold arm fills.

@@ -15,18 +15,18 @@ Sources expose two queries:
   it never has to step through quiet stretches.
 
 Interval energy is served from *memoised per-day cumulative tables*: the
-first query touching a UTC day builds that day's running integral on a
-:attr:`PowerSource.TABLE_STEP_S` grid — analytically for ``SolarPanel``
+first query touching a UTC day builds that day's running integral on the
+weather layer's ``day_samples`` grid — analytically for ``SolarPanel``
 (the diurnal sine-elevation curve times piecewise-linear cloud
-transmission integrates in closed form), from the weather layer's
-``day_samples`` cache for ``WindTurbine`` — after which any sub-interval
-of that day is O(1) interpolation.  ``MainsCharger`` and
-``ConstantSource`` integrate in closed form directly and cache nothing,
-so tests that mutate their output mid-run stay exact.
+transmission integrates in closed form), by the trapezoid rule over the
+day's wind samples for ``WindTurbine`` — after which any sub-interval of
+that day is O(1) interpolation.  ``MainsCharger`` and ``ConstantSource``
+integrate in closed form directly and cache nothing, so tests that mutate
+their output mid-run stay exact.
 
-Environmental signals come from a weather provider — any object with
-``solar_factor(time)``, ``wind_speed(time)`` and ``snow_depth(time)``
-(see :class:`repro.environment.weather.IcelandWeather`).
+The weather-driven sources read a :class:`WeatherProvider` (in practice
+:class:`repro.environment.weather.IcelandWeather`): the instantaneous
+signals for ``power_w`` and the per-day cache hooks for the tables.
 
 Time-purity assumption: ``power_w`` must be a pure function of ``time``.
 A source whose output changes for non-weather reasons (a rewired
@@ -54,7 +54,23 @@ class WeatherProvider(Protocol):
         """Wind speed in m/s."""
 
     def snow_depth(self, time: float) -> float:
-        """Snow depth at the station in metres."""
+        """Snow depth at the station in metres (daily resolution)."""
+
+    def day_samples(self, channel: str, day_index: int) -> tuple:
+        """Memoised samples of a channel on a uniform grid over one UTC
+        day, inclusive of both midnights."""
+
+    def day_memo(self, key: str, day_index: int, build: Callable[[], tuple]) -> tuple:
+        """Memoise ``build()`` per ``(key, day_index)``, shared by every
+        consumer of this provider."""
+
+    def solar_terms(self, day_index: int) -> Tuple[float, float]:
+        """``(A, B)``: clear-sky sin-elevation is ``A + B*cos(ω(t - noon))``
+        within the day."""
+
+    def cloud_pieces(self, t0: float, t1: float) -> Iterator[Tuple[float, float, float, float]]:
+        """``(a, b, c0, c1)`` pieces covering ``[t0, t1]`` on which cloud
+        transmission is ``c0 + c1*t``."""
 
 
 def _iter_day_spans(t0: float, t1: float) -> Iterator[Tuple[int, float, float]]:
@@ -71,13 +87,6 @@ def _iter_day_spans(t0: float, t1: float) -> Iterator[Tuple[int, float, float]]:
 
 class PowerSource:
     """Base class: a named generator with instantaneous and interval queries."""
-
-    #: Grid step of the per-day cumulative energy tables, seconds.  Must
-    #: match :data:`repro.environment.weather.DAY_CACHE_STEP_S` so derived
-    #: tables (the shared solar unit integral) land on the same nodes; 900 s
-    #: still sub-samples every weather breakpoint (3-hour noise blocks,
-    #: piecewise-linear gusts) several times over.
-    TABLE_STEP_S = 900.0
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -115,14 +124,6 @@ class PowerSource:
         return max(0.0, total)
 
     # -- table machinery ------------------------------------------------
-    def _cell_energy_j(self, a: float, b: float) -> float:
-        """Exact-as-possible energy of one table cell ``[a, b]``.
-
-        Default: trapezoid of ``power_w`` — one cell is one trapezoid.
-        ``SolarPanel`` overrides this with the analytic integral.
-        """
-        return 0.5 * (self.power_w(a) + self.power_w(b)) * (b - a)
-
     def _day_table(self, day_index: int) -> Tuple[tuple, tuple, float]:
         cached = self._day_tables.get(day_index)
         if cached is None:
@@ -131,16 +132,8 @@ class PowerSource:
         return cached
 
     def _build_day_table(self, day_index: int) -> Tuple[tuple, tuple, float]:
-        step = self.TABLE_STEP_S
-        cells = int(round(DAY / step))
-        base = day_index * DAY
-        powers = tuple(self.power_w(base + k * step) for k in range(cells + 1))
-        cumulative = [0.0]
-        acc = 0.0
-        for k in range(cells):
-            acc += self._cell_energy_j(base + k * step, base + (k + 1) * step)
-            cumulative.append(acc)
-        return powers, tuple(cumulative), step
+        """``(node powers, cumulative joules, step)`` for one UTC day."""
+        raise NotImplementedError
 
     @staticmethod
     def _cumulative_at(powers: tuple, cumulative: tuple, step: float, offset: float) -> float:
@@ -206,39 +199,37 @@ class SolarPanel(PowerSource):
         ``rated_w`` and the (day-constant) snow-burial factor.
         """
         weather = self.weather
-        step = self.TABLE_STEP_S
-        cells = int(round(DAY / step))
-        if not (hasattr(weather, "solar_terms") and hasattr(weather, "cloud_pieces")
-                and hasattr(weather, "day_samples") and hasattr(weather, "day_memo")):
-            return super()._build_day_table(day_index)
         factors = weather.day_samples("solar_factor", day_index)
-        if len(factors) != cells + 1:  # mismatched grids: stay generic
-            return super()._build_day_table(day_index)
-        base = day_index * DAY
-        burial = max(0.0, 1.0 - weather.snow_depth(base) / self.burial_depth_m)
+        cells = len(factors) - 1
+        step = DAY / cells
+        burial = max(0.0, 1.0 - weather.snow_depth(day_index * DAY) / self.burial_depth_m)
         scale = self.rated_w * burial
         if scale <= 0.0:
             zeros = (0.0,) * (cells + 1)
             return zeros, zeros, step
         unit = weather.day_memo("solar_unit_cum", day_index,
-                                lambda: self._unit_day_cumulative(day_index))
+                                lambda: self._unit_day_cumulative(day_index, cells))
         powers = tuple(scale * f for f in factors)
         cumulative = tuple(scale * c for c in unit)
         return powers, cumulative, step
 
-    def _unit_day_cumulative(self, day_index: int) -> tuple:
+    def _unit_day_cumulative(self, day_index: int, cells: int) -> tuple:
         """Cumulative ``∫ max(0, sin_elev)·cloud dt`` at each cell edge.
 
         Panel-free (no rating, no burial): a pure function of the weather,
-        cached per day via :meth:`IcelandWeather.day_memo`.
+        cached per day via :meth:`WeatherProvider.day_memo`.  Within one
+        UTC day the clear-sky sine-elevation is ``A + B*cos(ω(t - noon))``
+        (declination constant per day) and cloud transmission is piecewise
+        linear between 3-hour noise breakpoints, so the product integrates
+        in closed form piece by piece over the daylight arc.
         """
         weather = self.weather
-        step = self.TABLE_STEP_S
-        cells = int(round(DAY / step))
+        step = DAY / cells
         base = day_index * DAY
         sin_term, cos_term = weather.solar_terms(day_index)
         omega = 2.0 * math.pi / DAY
         noon = base + 0.5 * DAY
+        # Daylight arc: sine-elevation positive iff cos(ω(t-noon)) > -A/B.
         if sin_term >= cos_term:  # midnight sun: never sets
             rise, sets = base, base + DAY
         elif sin_term <= -cos_term:  # polar night: never rises
@@ -261,43 +252,6 @@ class SolarPanel(PowerSource):
                     acc += piece(sin_term, cos_term, omega, noon, p, q, c0, c1)
             cumulative.append(acc)
         return tuple(cumulative)
-
-    def _cell_energy_j(self, a: float, b: float) -> float:
-        """Analytic integral of the diurnal curve over one cell.
-
-        Within one UTC day the clear-sky sine-elevation is
-        ``A + B*cos(ω(t - noon))`` (declination constant per day) and cloud
-        transmission is piecewise linear between 3-hour noise breakpoints,
-        so the product integrates in closed form piece by piece.  Snow
-        burial has daily resolution and scales the whole arc.  Falls back
-        to the trapezoid rule for weather stubs without the cache hooks.
-        """
-        weather = self.weather
-        if not (hasattr(weather, "solar_terms") and hasattr(weather, "cloud_pieces")):
-            return super()._cell_energy_j(a, b)
-        day_index = int(math.floor(a / DAY))
-        burial = max(0.0, 1.0 - weather.snow_depth(a) / self.burial_depth_m)
-        if burial <= 0.0:
-            return 0.0
-        sin_term, cos_term = weather.solar_terms(day_index)
-        omega = 2.0 * math.pi / DAY
-        noon = (day_index + 0.5) * DAY
-        # Daylight arc: sine-elevation positive iff cos(ω(t-noon)) > -A/B.
-        if sin_term >= cos_term:  # midnight sun: never sets
-            rise, sets = day_index * DAY, (day_index + 1) * DAY
-        elif sin_term <= -cos_term:  # polar night: never rises
-            return 0.0
-        else:
-            half = math.acos(-sin_term / cos_term) / omega
-            rise, sets = noon - half, noon + half
-        lo, hi = max(a, rise), min(b, sets)
-        if hi <= lo:
-            return 0.0
-        total = 0.0
-        for p, q, c0, c1 in weather.cloud_pieces(lo, hi):
-            total += self._piece_integral(sin_term, cos_term, omega, noon, p, q, c0, c1)
-        # Round-off at the daylight-arc endpoints can leave a tiny negative.
-        return max(0.0, self.rated_w * burial * total)
 
     @staticmethod
     def _piece_integral(
@@ -335,9 +289,8 @@ class WindTurbine(PowerSource):
     being useful".
 
     The power curve has no useful closed form, so interval energy comes
-    from the generic per-day trapezoid tables; the day's speed samples are
-    pulled through the weather layer's memoised ``day_samples`` cache when
-    available, so the hash/trig work per day happens once.
+    from a per-day trapezoid table over the weather layer's memoised
+    ``day_samples`` speeds, so the hash/trig work per day happens once.
     """
 
     def __init__(
@@ -372,13 +325,9 @@ class WindTurbine(PowerSource):
         return self._power_from_speed(self.weather.wind_speed(time))
 
     def _build_day_table(self, day_index: int) -> Tuple[tuple, tuple, float]:
-        day_samples = getattr(self.weather, "day_samples", None)
-        if day_samples is None:
-            return super()._build_day_table(day_index)  # weather stubs
-        base = day_index * DAY
-        speeds = day_samples("wind_speed", day_index)
+        speeds = self.weather.day_samples("wind_speed", day_index)
         step = DAY / (len(speeds) - 1)
-        if self.weather.snow_depth(base) >= self.disabled_snow_depth_m:
+        if self.weather.snow_depth(day_index * DAY) >= self.disabled_snow_depth_m:
             powers = (0.0,) * len(speeds)  # snow gate: daily resolution
         else:
             powers = tuple(self._power_from_speed(s) for s in speeds)

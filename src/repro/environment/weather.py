@@ -114,8 +114,8 @@ class WeatherConfig:
 
 
 #: Grid step of the memoised per-day sample tables (resolves the diurnal
-#: solar curve and the 3-hour noise blocks comfortably; consumers building
-#: matching tables — :class:`repro.energy.sources.PowerSource` — must agree).
+#: solar curve and the 3-hour noise blocks comfortably; the charging
+#: sources' energy tables take their step from the sample count).
 DAY_CACHE_STEP_S = 900.0
 _DAY_CACHE_POINTS = int(DAY / DAY_CACHE_STEP_S) + 1  # inclusive of both ends
 

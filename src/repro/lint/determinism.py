@@ -114,21 +114,26 @@ class DeterminismReport:
         }
 
 
+def first_difference(lines_a: List[str], lines_b: List[str]) -> Tuple[int, str, str]:
+    """``(index, line A, line B)`` at the first line where two traces
+    differ; the trace that ended first reads ``"<end of trace>"`` there.
+    Only meaningful for traces that do differ."""
+    for index, (a, b) in enumerate(zip(lines_a, lines_b)):
+        if a != b:
+            return index, a, b
+    index = min(len(lines_a), len(lines_b))
+    return (index,
+            lines_a[index] if index < len(lines_a) else "<end of trace>",
+            lines_b[index] if index < len(lines_b) else "<end of trace>")
+
+
 def compare_replay(seed: int, days: float, lines_a: List[str],
                    lines_b: List[str]) -> DeterminismReport:
     """Diff two runs' canonical trace lines into a replay verdict."""
     digest_a, digest_b = lines_digest(lines_a), lines_digest(lines_b)
     divergence: Optional[Tuple[int, str, str]] = None
     if digest_a != digest_b:
-        for index, (a, b) in enumerate(zip(lines_a, lines_b)):
-            if a != b:
-                divergence = (index, a, b)
-                break
-        else:
-            index = min(len(lines_a), len(lines_b))
-            next_a = lines_a[index] if index < len(lines_a) else "<end of trace>"
-            next_b = lines_b[index] if index < len(lines_b) else "<end of trace>"
-            divergence = (index, next_a, next_b)
+        divergence = first_difference(lines_a, lines_b)
     return DeterminismReport(
         seed=seed, days=days, digest_a=digest_a, digest_b=digest_b,
         first_divergence=divergence, records=len(lines_a),

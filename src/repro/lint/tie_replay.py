@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.determinism import lines_digest, trace_lines
+from repro.lint.determinism import first_difference, lines_digest, trace_lines
 from repro.lint.findings import Finding, Severity
 
 #: Rule id carried by dynamic-prong findings.
@@ -191,22 +191,13 @@ def _policy_run(policy: str, lines: List[str]) -> PolicyRun:
 
 def _first_divergence(policy: str, base_lines: List[str],
                       other_lines: List[str]) -> TieDivergence:
-    base_norm = normalize_tie_order(base_lines)
-    other_norm = normalize_tie_order(other_lines)
-    for index, (a, b) in enumerate(zip(base_norm, other_norm)):
-        if a != b:
-            return TieDivergence(
-                policy=policy, index=index,
-                time=float(a.split("|", 1)[0]),
-                baseline_line=a, perturbed_line=b,
-            )
-    index = min(len(base_norm), len(other_norm))
-    longer = base_norm if len(base_norm) > len(other_norm) else other_norm
+    index, base_line, other_line = first_difference(
+        normalize_tie_order(base_lines), normalize_tie_order(other_lines))
+    # The instant of whichever line exists (a prefix reads "<end of trace>").
+    present = other_line if base_line == "<end of trace>" else base_line
     return TieDivergence(
-        policy=policy, index=index,
-        time=float(longer[index].split("|", 1)[0]),
-        baseline_line=base_norm[index] if index < len(base_norm) else "<end of trace>",
-        perturbed_line=other_norm[index] if index < len(other_norm) else "<end of trace>",
+        policy=policy, index=index, time=float(present.split("|", 1)[0]),
+        baseline_line=base_line, perturbed_line=other_line,
     )
 
 

@@ -88,3 +88,13 @@ class TestDivergenceReporting:
         text = forged.summary()
         assert "FAILED" in text and "record 3" in text
         assert "A-line" in text and "B-line" in text
+
+    def test_first_divergence_names_the_first_differing_line(self):
+        report = compare_replay(0, DAYS, ["x", "a", "y"], ["x", "b", "y"])
+        assert report.first_divergence == (1, "a", "b")
+
+    def test_a_truncated_trace_diverges_at_its_end(self):
+        report = compare_replay(0, DAYS, ["x", "y"], ["x", "y", "z"])
+        assert report.first_divergence == (2, "<end of trace>", "z")
+        report = compare_replay(0, DAYS, ["x", "y", "z"], ["x"])
+        assert report.first_divergence == (1, "y", "<end of trace>")

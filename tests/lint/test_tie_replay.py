@@ -13,6 +13,7 @@ from repro.faults import Scenario
 from repro.lint.findings import Severity
 from repro.lint.tie_replay import (
     DIVERGENCE_RULE,
+    _first_divergence,
     check_tie_robustness,
     normalize_tie_order,
     policy_factory,
@@ -201,3 +202,27 @@ class TestMain:
         # (fifo against shuffle:1 on the scenario the flags describe).
         assert main(["verify", "--days", "0.25"]) == 0
         assert "tie replay OK" in capsys.readouterr().out
+
+
+class TestFirstDivergence:
+    LINES = ["1.000000000|toy|ping|n=1", "2.000000000|toy|ping|n=2",
+             "3.000000000|toy|ping|n=3"]
+
+    def test_differing_line(self):
+        other = self.LINES[:1] + ["2.000000000|toy|ping|n=9"] + self.LINES[2:]
+        divergence = _first_divergence("shuffle:1", self.LINES, other)
+        assert (divergence.index, divergence.time) == (1, 2.0)
+        assert divergence.baseline_line == self.LINES[1]
+        assert divergence.perturbed_line == "2.000000000|toy|ping|n=9"
+
+    def test_perturbed_run_ends_early(self):
+        divergence = _first_divergence("lifo", self.LINES, self.LINES[:1])
+        assert (divergence.index, divergence.time) == (1, 2.0)
+        assert divergence.baseline_line == self.LINES[1]
+        assert divergence.perturbed_line == "<end of trace>"
+
+    def test_baseline_run_ends_early(self):
+        divergence = _first_divergence("lifo", self.LINES[:2], self.LINES)
+        assert (divergence.index, divergence.time) == (2, 3.0)
+        assert divergence.baseline_line == "<end of trace>"
+        assert divergence.perturbed_line == self.LINES[2]
