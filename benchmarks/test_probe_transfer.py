@@ -40,7 +40,7 @@ def build_backlogged_probe(sim, n_readings=3000, seed=33):
 def run_summer_fetch(seed=33):
     sim = Simulation(seed=seed)
     probe = build_backlogged_probe(sim, seed=seed)
-    link = ProbeRadioLink(sim, loss_fn=lambda t: SUMMER_LOSS, name="e8.link")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [SUMMER_LOSS] * len(ts), name="e8.link")
     fetcher = BulkFetcher(sim)
     sessions = []
     for _day in range(10):
@@ -92,7 +92,7 @@ def test_missed_packets_scale_with_loss(benchmark, emit):
         for label, loss in (("winter", 0.02), ("spring", 0.07), ("summer", SUMMER_LOSS)):
             sim = Simulation(seed=40)
             probe = build_backlogged_probe(sim, seed=40)
-            link = ProbeRadioLink(sim, loss_fn=lambda t, p=loss: p, name=f"e8.{label}")
+            link = ProbeRadioLink(sim, loss_fn=lambda ts, p=loss: [p] * len(ts), name=f"e8.{label}")
             fetcher = BulkFetcher(sim)
             proc = sim.process(fetcher.fetch(probe, link, budget_s=2 * HOUR))
             sim.run(until=sim.now + 5 * HOUR)
@@ -116,7 +116,7 @@ def test_task_completion_flag_is_what_saves_the_data(benchmark):
     def run():
         sim = Simulation(seed=41)
         probe = build_backlogged_probe(sim, n_readings=500, seed=41)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.3, name="e8.flag")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.3] * len(ts), name="e8.flag")
         fetcher = BulkFetcher(sim)
         proc = sim.process(fetcher.fetch(probe, link, budget_s=2 * HOUR))
         sim.run(until=sim.now + 3 * HOUR)

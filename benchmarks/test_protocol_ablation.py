@@ -37,7 +37,7 @@ def build_probe(sim, seed):
 def run_bulk(loss, seed=90):
     sim = Simulation(seed=seed)
     probe = build_probe(sim, seed)
-    link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name="e14.bulk")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name="e14.bulk")
     fetcher = BulkFetcher(sim)
     airtime = 0
     sessions = 0
@@ -55,7 +55,7 @@ def run_bulk(loss, seed=90):
 def run_stopwait(loss, seed=90):
     sim = Simulation(seed=seed)
     probe = build_probe(sim, seed)
-    link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name="e14.sw")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name="e14.sw")
     fetcher = StopWaitFetcher(sim, retries_per_reading=6)
     proc = sim.process(fetcher.fetch(probe, link))
     sim.run(until=sim.now + 12 * HOUR)
@@ -135,7 +135,7 @@ def test_request_batching_strategy(benchmark, emit):
     def run_selective(loss, batch):
         sim = Simulation(seed=97)
         probe = build_probe(sim, 97)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name=f"e14b.{batch}")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name=f"e14b.{batch}")
         fetcher = BulkFetcher(sim, request_batch_size=batch)
         task = probe.task()
         key = (22, task.task_id)

@@ -42,7 +42,7 @@ def main() -> None:
     sim = Simulation(seed=9)
     probe = build_backlogged_probe(sim, seed=9)
     summer_loss = 400.0 / 3000.0
-    link = ProbeRadioLink(sim, loss_fn=lambda t: summer_loss, name="probe25.link")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [summer_loss] * len(ts), name="probe25.link")
     fetcher = BulkFetcher(sim)
 
     print(f"\nSummer link packet loss: {summer_loss:.1%}")
@@ -72,7 +72,7 @@ def main() -> None:
     print("\nFor comparison, the stop-and-wait baseline on the same task:")
     sim2 = Simulation(seed=9)
     probe2 = build_backlogged_probe(sim2, seed=9)
-    link2 = ProbeRadioLink(sim2, loss_fn=lambda t: summer_loss, name="probe25.sw")
+    link2 = ProbeRadioLink(sim2, loss_fn=lambda ts: [summer_loss] * len(ts), name="probe25.sw")
     stopwait = StopWaitFetcher(sim2, retries_per_reading=6)
     proc = sim2.process(stopwait.fetch(probe2, link2, budget_s=0.4 * 2 * HOUR))
     sim2.run(until=sim2.now + 4 * HOUR)

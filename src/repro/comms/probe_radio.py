@@ -16,9 +16,13 @@ protocol treats both as missing; the link's statistics keep them apart.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim.kernel import Simulation
+
+
+#: ``loss_fn(times) -> probabilities``: one loss probability per instant.
+LossFn = Callable[[Sequence[float]], List[float]]
 
 
 class PacketOutcome(enum.Enum):
@@ -42,36 +46,35 @@ class ProbeRadioLink:
     sim:
         Kernel.
     loss_fn:
-        ``loss_fn(time) -> probability`` that any one packet is lost
-        (typically ``glacier.probe_radio_loss``).
-    rate_bps:
-        Link rate (low-power sub-GHz radio).
-    overhead_bytes:
-        Per-packet framing overhead.
-    turnaround_s:
-        Half-duplex turnaround between packets.
+        ``loss_fn(times) -> probabilities``, one per arrival instant
+        (typically ``glacier.probe_radio_loss``).  A pure function of time:
+        a burst asks for its whole column before rolling any packet, and a
+        lone packet asks for a column of one.
+    name:
+        Link name; the loss RNG stream is ``f"{name}.loss"``.
+    corruption_probability:
+        Probability that an arriving packet fails its CRC.
     """
+
+    #: Link rate (low-power sub-GHz radio), bits per second.
+    RATE_BPS = 9600.0
+    #: Per-packet framing overhead, bytes.
+    OVERHEAD_BYTES = 8
+    #: Half-duplex turnaround between packets, seconds.
+    TURNAROUND_S = 0.05
 
     def __init__(
         self,
         sim: Simulation,
-        loss_fn: Callable[[float], float],
+        loss_fn: LossFn,
         name: str = "probe_radio",
-        rate_bps: float = 9600.0,
-        overhead_bytes: int = 8,
-        turnaround_s: float = 0.05,
         corruption_probability: float = 0.0,
-        seed_stream: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.loss_fn = loss_fn
         self.name = name
-        self.rate_bps = rate_bps
-        self.overhead_bytes = overhead_bytes
-        self.turnaround_s = turnaround_s
-        #: Probability that a packet arrives with an uncorrectable error.
         self.corruption_probability = corruption_probability
-        self._rng = sim.rng.stream(seed_stream or f"{name}.loss")
+        self._rng = sim.rng.stream(f"{name}.loss")
         self.packets_sent = 0
         self.packets_lost = 0
         self.packets_broken = 0
@@ -82,11 +85,11 @@ class ProbeRadioLink:
 
     def packet_time_s(self, payload_bytes: int) -> float:
         """Airtime for one packet including framing and turnaround."""
-        return (payload_bytes + self.overhead_bytes) * 8.0 / self.rate_bps + self.turnaround_s
+        return (payload_bytes + self.OVERHEAD_BYTES) * 8.0 / self.RATE_BPS + self.TURNAROUND_S
 
     def current_loss(self) -> float:
         """The loss probability right now."""
-        return self.loss_fn(self.sim.now)
+        return self.loss_fn((self.sim.now,))[0]
 
     def transmit(self, payload_bytes: int):
         """Process: send one packet; returns True iff cleanly delivered.
@@ -101,18 +104,16 @@ class ProbeRadioLink:
     def transmit_detailed(self, payload_bytes: int):
         """Process: send one packet; returns a :class:`PacketOutcome`."""
         yield self.sim.timeout(self.packet_time_s(payload_bytes))
-        return self._draw_outcome(self.sim.now)
+        return self._draw_outcome(self.loss_fn((self.sim.now,))[0])
 
-    def _draw_outcome(self, at_time: float) -> PacketOutcome:
-        """Roll one packet's fate as of its arrival instant ``at_time``.
+    def _draw_outcome(self, loss: float) -> PacketOutcome:
+        """Roll one packet's fate against its loss probability ``loss``.
 
-        Factored out of :meth:`transmit_detailed` so the burst path can
-        draw the *same* RNG rolls against the *same* loss probability
-        (``loss_fn`` is a pure function of time) without a kernel event
-        per packet.
+        Shared by :meth:`transmit_detailed` and the burst path, so both
+        draw the *same* RNG rolls in the same order.
         """
         self.packets_sent += 1
-        if self._rng.random() < self.loss_fn(at_time):
+        if self._rng.random() < loss:
             self.packets_lost += 1
             self._m_lost.inc()
             return PacketOutcome.LOST
@@ -133,11 +134,12 @@ class ProbeRadioLink:
         caller looping over :meth:`transmit` would make), so a short list
         means the deadline cut the burst.
 
-        The whole burst costs one kernel timeout: packet ``i``'s fate is
-        rolled at its arrival instant ``start + (i+1) * packet_time`` with
-        the identical RNG draws a loop over :meth:`transmit_detailed`
-        would make, so outcomes and link statistics are bitwise equal to
-        that loop — only the event count differs (the protocol layer's
+        The whole burst costs one kernel timeout and one ``loss_fn``
+        column: packet ``i`` arrives at ``start + (i+1) * packet_time``,
+        and its fate is rolled against the loss at that instant with the
+        identical RNG draws a loop over :meth:`transmit_detailed` would
+        make, so outcomes and link statistics are bitwise equal to that
+        loop — only the event count differs (the protocol layer's
         3000-reading stream collapses from 3000 events to
         ``ceil(3000/burst)``).  The burst's completion instant can differ
         from the per-packet loop by float-rounding ulps (one summed
@@ -146,14 +148,15 @@ class ProbeRadioLink:
         packet_s = self.packet_time_s(payload_bytes)
         start = self.sim.now
         at_time = start
-        outcomes = []
+        arrivals = []
         for _ in range(count):
             if deadline is not None and at_time >= deadline:
                 break
             # Accumulate exactly as the kernel clock would: each packet's
             # timeout lands at previous-now + packet_s.
             at_time = at_time + packet_s
-            outcomes.append(self._draw_outcome(at_time))
+            arrivals.append(at_time)
+        outcomes = [self._draw_outcome(loss) for loss in self.loss_fn(arrivals)]
         if at_time > start:
             yield self.sim.timeout(at_time - start)
         return outcomes

@@ -24,12 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.environment.seasons import (
-    _MIDNIGHT_GUARD_S,
-    melt_season_factor,
-    melt_season_factor_many,
-)
-from repro.environment.weather import _block_noise, _smooth_noise, _smooth_noise_many
+from repro.environment.seasons import melt_season_factor_many
+from repro.environment.weather import _block_noise, _smooth_noise_many
 from repro.sim.simtime import DAY, fraction_of_day
 
 
@@ -78,40 +74,18 @@ class GlacierModel:
     # ------------------------------------------------------------------
     # Melt and conductivity
     # ------------------------------------------------------------------
-    #: UTC day index and melt-season factor of the last instant
-    #: :meth:`melt_fraction` looked up away from a midnight: the probe radio
-    #: asks about thousands of instants of one day in a row.
-    _season_day = None
-    _season_factor = 0.0
-
     def melt_fraction(self, time: float) -> float:
-        """Melt-water availability in [0, 1] (seasonal with weather texture).
-
-        Kept scalar beside :meth:`melt_fraction_many`: the probe radio draws
-        one loss per packet through here, and a column of one costs about
-        twice as much per call.
-        """
-        index = time // DAY
-        within = time - index * DAY
-        if within < _MIDNIGHT_GUARD_S or DAY - within < _MIDNIGHT_GUARD_S:
-            seasonal = melt_season_factor(time)
-        elif index == self._season_day:
-            seasonal = self._season_factor
-        else:
-            seasonal = self._season_factor = melt_season_factor(time)
-            self._season_day = index
-        if seasonal <= 0.0:
-            return 0.0
-        texture = 0.75 + 0.25 * _smooth_noise(self.seed, "melt", time)
-        return min(1.0, seasonal * texture)
+        """Melt-water availability in [0, 1] (seasonal with weather texture)."""
+        return self.melt_fraction_many((time,))[0]
 
     def melt_fraction_many(self, times: Sequence[float]) -> List[float]:
-        """:meth:`melt_fraction` over a column of instants, bitwise equal."""
-        return [
-            0.0 if seasonal <= 0.0 else min(1.0, seasonal * (0.75 + 0.25 * noise))
-            for seasonal, noise in zip(melt_season_factor_many(times),
-                                       _smooth_noise_many(self.seed, "melt", times))
-        ]
+        """:meth:`melt_fraction` over a column of instants."""
+        fractions = []
+        for seasonal, noise in zip(melt_season_factor_many(times),
+                                   _smooth_noise_many(self.seed, "melt", times)):
+            fractions.append(0.0 if seasonal <= 0.0
+                             else min(1.0, seasonal * (0.75 + 0.25 * noise)))
+        return fractions
 
     def _probe_terms(self, probe_id: int) -> tuple:
         """Cached ``(gain, noise_stream)`` for one probe id."""
@@ -243,7 +217,11 @@ class GlacierModel:
     # ------------------------------------------------------------------
     # Probe radio
     # ------------------------------------------------------------------
-    def probe_radio_loss(self, time: float) -> float:
-        """Probe packet-loss probability: low in dry winter ice, high in summer."""
-        cfg = self.config
-        return cfg.radio_loss_winter + cfg.radio_loss_melt * self.melt_fraction(time)
+    def probe_radio_loss(self, times: Sequence[float]) -> List[float]:
+        """Probe packet-loss probability per instant: low in dry winter ice, high in summer."""
+        winter = self.config.radio_loss_winter
+        melt_loss = self.config.radio_loss_melt
+        losses = []
+        for melt in self.melt_fraction_many(times):
+            losses.append(winter + melt_loss * melt)
+        return losses

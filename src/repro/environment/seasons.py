@@ -67,6 +67,13 @@ def _melt_factor_for_doy(doy: int) -> float:
     return max(0.0, onset - freeze)
 
 
+@functools.lru_cache(maxsize=4096)
+def _melt_factor_of_day_index(day_index: float) -> float:
+    # Every instant of the UTC day away from its midnights has the same day
+    # of year as its midday (the default epoch is a UTC midnight).
+    return _melt_factor_for_doy(day_of_year((day_index + 0.5) * DAY))
+
+
 def melt_season_factor(time: float) -> float:
     """Smooth 0-1 indicator of surface melt ("summer water").
 
@@ -101,6 +108,6 @@ def melt_season_factor_many(times: Sequence[float]) -> List[float]:
             continue
         if index != day:
             day = index
-            factor = _melt_factor_for_doy(day_of_year(time))
+            factor = _melt_factor_of_day_index(index)
         factors.append(factor)
     return factors

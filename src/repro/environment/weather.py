@@ -48,16 +48,11 @@ def _block_noise(seed: int, stream: str, index: int) -> float:
 
 def _smooth_noise(seed: int, stream: str, time: float) -> float:
     """Noise linearly interpolated between 3-hour block midpoints."""
-    position = time / NOISE_BLOCK_S - 0.5
-    lower = math.floor(position)
-    frac = position - lower
-    a = _block_noise(seed, stream, lower)
-    b = _block_noise(seed, stream, lower + 1)
-    return a * (1.0 - frac) + b * frac
+    return _smooth_noise_many(seed, stream, (time,))[0]
 
 
 def _smooth_noise_many(seed: int, stream: str, times: Sequence[float]) -> List[float]:
-    """:func:`_smooth_noise` over a column of instants, bitwise equal.
+    """:func:`_smooth_noise` over a column of instants.
 
     The two block values are fetched once per run of instants sharing a
     3-hour block rather than once per instant.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.comms.link import LinkDown, Modem
-from repro.comms.probe_radio import ProbeRadioLink
+from repro.comms.probe_radio import LossFn, ProbeRadioLink
 from repro.energy.bus import PowerBus
 from repro.hardware.rtc import RealTimeClock
 from repro.hardware.storage import CompactFlashCard
@@ -105,10 +105,12 @@ class GprsOutageInjector:
 class ProbeLossInjector:
     """Raise probe-radio packet loss during the given windows.
 
-    Wraps each link's ``loss_fn`` with an additive spike (clamped at 1.0),
-    modelling the paper's wet-ice degradation at scripted severity.  The
-    link's own RNG stream still decides each packet's fate, so the spike
-    changes probabilities, never draw order.
+    Wraps each link's ``loss_fn`` column with an additive spike (clamped
+    at 1.0) applied per instant, modelling the paper's wet-ice degradation
+    at scripted severity.  A window that opens mid-burst raises the loss of
+    exactly the packets that arrive inside it.  The link's own RNG stream
+    still decides each packet's fate, so the spike changes probabilities,
+    never draw order.
     """
 
     kind = "probe-loss-spike"
@@ -119,11 +121,8 @@ class ProbeLossInjector:
         self.sim = sim
         self.station = station
         self.windows = sorted(windows)  # (start, end, extra_loss)
-        self._originals: List[Tuple[ProbeRadioLink, Callable[[float], float]]] = []
         for link in links:
-            original = link.loss_fn
-            self._originals.append((link, original))
-            link.loss_fn = self._wrap(original)
+            link.loss_fn = self._wrap(link.loss_fn)
         for start, end, _extra in self.windows:
             _announce(sim, station, self.kind, (start, end))
 
@@ -134,9 +133,10 @@ class ProbeLossInjector:
                 extra = max(extra, spike)
         return extra
 
-    def _wrap(self, original: Callable[[float], float]) -> Callable[[float], float]:
-        def lossy(time: float) -> float:
-            return min(1.0, original(time) + self._extra(time))
+    def _wrap(self, original: LossFn) -> LossFn:
+        def lossy(times: Sequence[float]) -> List[float]:
+            return [min(1.0, loss + self._extra(time))
+                    for loss, time in zip(original(times), times)]
 
         return lossy
 

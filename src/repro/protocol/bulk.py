@@ -208,11 +208,12 @@ class BulkFetcher:
                 result.complete = True
 
     #: Max packets per :meth:`ProbeRadioLink.transmit_sequence` burst in the
-    #: stream phase.  Large enough that a 3000-reading first contact costs
-    #: ~12 kernel events instead of 3000; small enough that a fault window
-    #: swapping ``loss_fn`` mid-stream goes stale for at most a burst
-    #: (~17 s of airtime), and budget checks stay packet-accurate because
-    #: the link applies the deadline per packet *inside* the burst.
+    #: stream phase: a 3000-reading first contact costs ~12 kernel events
+    #: instead of 3000.  Burst size never changes a packet's fate: a fault
+    #: window opening mid-burst applies per packet instant (the loss
+    #: injector wraps ``loss_fn`` once, before the run), and budget checks
+    #: stay packet-accurate because the link applies the deadline per
+    #: packet *inside* the burst.
     STREAM_BURST = 256
 
     def _stream_phase(self, task, link, received, held, result, deadline):
@@ -221,7 +222,7 @@ class BulkFetcher:
         Readings go out in :attr:`STREAM_BURST` groups through
         :meth:`~repro.comms.probe_radio.ProbeRadioLink.transmit_sequence`;
         per-packet outcomes (and the per-packet deadline cut) are bitwise
-        identical to the old transmit-per-reading loop in both link modes.
+        identical to a transmit-per-reading loop.
         """
         readings = task.readings
         packet_bytes = DATA_HEADER_BYTES + readings[0].wire_bytes if readings else 0

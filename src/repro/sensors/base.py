@@ -15,7 +15,9 @@ class Sensor:
     name:
         Channel name recorded with every reading.
     signal:
-        Ground-truth callable, ``signal(time) -> float``.
+        Ground-truth callable, ``signal(time) -> float``.  A sensor whose
+        environment model has a columnar form overrides :meth:`signal_many`
+        instead and passes none.
     noise_std:
         Standard-deviation-like amplitude of measurement noise (uniform
         noise of matching variance, deterministic in time and seed).
@@ -30,7 +32,7 @@ class Sensor:
     def __init__(
         self,
         name: str,
-        signal: Callable[[float], float],
+        signal: Optional[Callable[[float], float]] = None,
         noise_std: float = 0.0,
         resolution: float = 0.0,
         gain: float = 1.0,
@@ -49,10 +51,7 @@ class Sensor:
         self._noise_stream = f"sensor:{name}"
 
     def signal_many(self, times: Sequence[float]) -> List[float]:
-        """The ground-truth signal over a column of instants.
-
-        Sensors whose environment model has a columnar form override this.
-        """
+        """The ground-truth signal over a column of instants."""
         return list(map(self.signal, times))
 
     def sample_many(self, times: Sequence[float]) -> List[float]:

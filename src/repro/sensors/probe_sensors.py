@@ -20,7 +20,6 @@ class ConductivitySensor(Sensor):
     def __init__(self, glacier: GlacierModel, probe_id: int, seed: int = 0) -> None:
         super().__init__(
             name="conductivity_us",
-            signal=lambda t: glacier.conductivity_us(t, probe_id=probe_id),
             noise_std=0.05,
             resolution=0.01,
             clip=(0.0, 100.0),
@@ -49,7 +48,6 @@ class TiltSensor(Sensor):
         self._jump_cache = [0]
         super().__init__(
             name="tilt_deg",
-            signal=self._tilt,
             noise_std=0.1,
             resolution=0.1,
             clip=(0.0, 90.0),
@@ -63,9 +61,6 @@ class TiltSensor(Sensor):
                 self._jump_cache[-1] + (1 if self.glacier.slip_occurred(previous_day) else 0)
             )
         return self._jump_cache[day]
-
-    def _tilt(self, time: float) -> float:
-        return self.signal_many((time,))[0]
 
     def signal_many(self, times: Sequence[float]) -> List[float]:
         # Base creep: slow monotone increase, probe-specific rate.
@@ -89,7 +84,6 @@ class PressureSensor(Sensor):
     def __init__(self, glacier: GlacierModel, probe_id: int, seed: int = 0) -> None:
         super().__init__(
             name="pressure_m",
-            signal=glacier.water_pressure_m,
             noise_std=0.3,
             resolution=0.1,
             clip=(0.0, 200.0),

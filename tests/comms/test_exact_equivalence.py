@@ -265,7 +265,7 @@ def run_burst(burst=True, seed=5, count=400, deadline=None, payload=120):
         sim,
         # Loss swings within a few packet times (~0.16 s each), so a roll
         # taken at the wrong instant changes outcomes.
-        loss_fn=lambda t: 0.10 + 0.08 * math.sin(t / 0.5),
+        loss_fn=lambda ts: [0.10 + 0.08 * math.sin(t / 0.5) for t in ts],
         corruption_probability=0.05,
     )
     out = {}

@@ -136,8 +136,8 @@ class TestSeasonalEffects:
 
     def test_probe_loss_rate_follows_melt_season(self):
         deployment = Deployment(DeploymentConfig(seed=48))
-        september = deployment.glacier.probe_radio_loss(deployment.sim.now + 10 * DAY)
-        january = deployment.glacier.probe_radio_loss(deployment.sim.now + 130 * DAY)
+        september, january = deployment.glacier.probe_radio_loss(
+            [deployment.sim.now + 10 * DAY, deployment.sim.now + 130 * DAY])
         assert september > january
 
 

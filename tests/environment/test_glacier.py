@@ -120,18 +120,19 @@ class TestMotion:
 
 class TestRadioLoss:
     def test_winter_loss_is_floor(self, glacier):
-        assert glacier.probe_radio_loss(at(1, 15)) == pytest.approx(
-            glacier.config.radio_loss_winter, abs=0.005
+        assert glacier.probe_radio_loss([at(1, 15)]) == pytest.approx(
+            [glacier.config.radio_loss_winter], abs=0.005
         )
 
     def test_summer_loss_near_paper_anchor(self, glacier):
         """Section V: ~400 of 3000 readings missed in summer -> ~13% loss."""
-        losses = [glacier.probe_radio_loss(at(7, d)) for d in range(1, 28)]
+        losses = glacier.probe_radio_loss([at(7, d) for d in range(1, 28)])
         mean = sum(losses) / len(losses)
         assert 0.10 < mean < 0.15
 
     def test_loss_is_probability(self, glacier):
-        assert all(0.0 <= glacier.probe_radio_loss(day * DAY) <= 1.0 for day in range(0, 720, 10))
+        losses = glacier.probe_radio_loss([day * DAY for day in range(0, 720, 10)])
+        assert all(0.0 <= loss <= 1.0 for loss in losses)
 
 
 class TestWaterPressure:

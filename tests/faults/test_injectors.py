@@ -68,19 +68,54 @@ class TestGprsOutageInjector:
 class TestProbeLossInjector:
     def test_additive_spike_clamped(self):
         sim = Simulation(seed=2)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.4)
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.4] * len(ts))
         ProbeLossInjector(sim, "base", [link], [(0.0, 100.0, 0.5)])
-        assert link.loss_fn(50.0) == pytest.approx(0.9)
-        assert link.loss_fn(150.0) == pytest.approx(0.4)
+        assert link.loss_fn([50.0]) == pytest.approx([0.9])
+        assert link.loss_fn([150.0]) == pytest.approx([0.4])
 
     def test_overlapping_windows_take_max_not_sum(self):
         sim = Simulation(seed=2)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.0)
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.0] * len(ts))
         ProbeLossInjector(sim, "base", [link],
                           [(0.0, 100.0, 0.3), (50.0, 150.0, 0.6)])
-        assert link.loss_fn(75.0) == pytest.approx(0.6)
-        assert link.loss_fn(25.0) == pytest.approx(0.3)
-        assert link.loss_fn(125.0) == pytest.approx(0.6)
+        assert link.loss_fn([75.0]) == pytest.approx([0.6])
+        assert link.loss_fn([25.0]) == pytest.approx([0.3])
+        assert link.loss_fn([125.0]) == pytest.approx([0.6])
+
+    def test_spike_opening_mid_burst_matches_per_packet_sends(self):
+        # A 200-packet burst spans ~13 s of airtime; the spike opens after
+        # ~75 packets and closes ~60 packets later, inside the same burst.
+        window = [(5.0, 9.0, 0.6)]
+
+        def rig():
+            sim = Simulation(seed=7)
+            link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.1] * len(ts),
+                                  name="spike.link", corruption_probability=0.05)
+            ProbeLossInjector(sim, "base", [link], window)
+            return sim, link
+
+        sim, burst_link = rig()
+        burst = sim.process(burst_link.transmit_sequence(12, 200))
+        sim.run(until=60.0)
+
+        sim, loop_link = rig()
+        looped = []
+
+        def sender(sim):
+            for _ in range(200):
+                looped.append((yield sim.process(loop_link.transmit_detailed(12))))
+
+        sim.process(sender(sim))
+        sim.run(until=60.0)
+
+        assert burst.value == looped
+        in_window = [o for k, o in enumerate(looped)
+                     if 5.0 <= (k + 1) * burst_link.packet_time_s(12) < 9.0]
+        assert sum(not o.ok for o in in_window) > len(in_window) / 2
+        for link in (burst_link, loop_link):
+            assert link.packets_sent == 200
+        assert (burst_link.packets_lost, burst_link.packets_broken) == (
+            loop_link.packets_lost, loop_link.packets_broken)
 
 
 class TestServerOutageInjector:

@@ -17,7 +17,7 @@ def make_rig(loss=0.0, drift_ppm=50.0, seed=111):
     probe = Probe(sim, 27, make_probe_sensor_suite(glacier, 27),
                   sampling_interval_s=1800.0, lifetime_days=10_000.0,
                   clock_drift_ppm=drift_ppm)
-    link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name="cmd.link")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name="cmd.link")
     commander = ProbeCommander(sim)
     return sim, probe, link, commander
 

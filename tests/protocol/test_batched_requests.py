@@ -17,7 +17,7 @@ def make_rig(loss, n_readings, batch_size, seed=91):
     probe = Probe(sim, 26, make_probe_sensor_suite(glacier, 26),
                   sampling_interval_s=10.0, lifetime_days=10_000.0)
     sim.run(until=n_readings * 10.0 + 5.0)
-    link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name="batch.link")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name="batch.link")
     fetcher = BulkFetcher(sim, request_batch_size=batch_size)
     return sim, probe, link, fetcher
 

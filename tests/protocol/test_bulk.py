@@ -21,7 +21,7 @@ def make_rig(loss=0.0, n_readings=100, seed=17):
         sampling_interval_s=10.0,
         lifetime_days=10_000.0,
     )
-    link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name="test.link")
+    link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name="test.link")
     fetcher = BulkFetcher(sim)
     # accumulate n_readings
     sim.run(until=n_readings * 10.0 + 5.0)

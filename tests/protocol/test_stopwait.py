@@ -27,7 +27,7 @@ class TestStopWait:
     def test_lossless_delivery(self):
         sim = Simulation(seed=2)
         probe = make_probe(sim, 50)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.0, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.0] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim)
         proc = sim.process(fetcher.fetch(probe, link))
         sim.run(until=sim.now + 2 * HOUR)
@@ -39,7 +39,7 @@ class TestStopWait:
     def test_ack_airtime_overhead(self):
         sim = Simulation(seed=2)
         probe = make_probe(sim, 50)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.0, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.0] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim)
         proc = sim.process(fetcher.fetch(probe, link))
         sim.run(until=sim.now + 2 * HOUR)
@@ -49,7 +49,7 @@ class TestStopWait:
     def test_lossy_link_leaves_failures(self):
         sim = Simulation(seed=2)
         probe = make_probe(sim, 200)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.35, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.35] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim, retries_per_reading=2)
         proc = sim.process(fetcher.fetch(probe, link))
         sim.run(until=sim.now + 6 * HOUR)
@@ -65,7 +65,7 @@ class TestStopWait:
         n, retries = 5, 3
         sim = Simulation(seed=2)
         probe = make_probe(sim, n)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 1.0, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [1.0] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim, retries_per_reading=retries)
         proc = sim.process(fetcher.fetch(probe, link))
         sim.run(until=sim.now + 2 * HOUR)
@@ -82,7 +82,7 @@ class TestStopWait:
         protocol loss; it lands in ``truncated``, never ``failed``."""
         sim = Simulation(seed=2)
         probe = make_probe(sim, 3)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 1.0, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [1.0] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim, retries_per_reading=5)
         # One full retry cycle is 5 x ((30+8)*8/9600 + 0.05) ~ 0.408 s:
         # reading 1 exhausts its retries (failed), reading 2 starts but the
@@ -98,7 +98,7 @@ class TestStopWait:
     def test_truncated_defaults_to_zero_on_clean_sessions(self):
         sim = Simulation(seed=2)
         probe = make_probe(sim, 20)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.0, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.0] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim)
         proc = sim.process(fetcher.fetch(probe, link))
         sim.run(until=sim.now + 2 * HOUR)
@@ -108,7 +108,7 @@ class TestStopWait:
     def test_budget_bounds_session(self):
         sim = Simulation(seed=2)
         probe = make_probe(sim, 3000)
-        link = ProbeRadioLink(sim, loss_fn=lambda t: 0.0, name="sw.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [0.0] * len(ts), name="sw.link")
         fetcher = StopWaitFetcher(sim)
         proc = sim.process(fetcher.fetch(probe, link, budget_s=30.0))
         sim.run(until=sim.now + 2 * HOUR)
@@ -126,7 +126,7 @@ class TestProtocolComparison:
 
         sim_a = Simulation(seed=3)
         probe_a = make_probe(sim_a, n)
-        link_a = ProbeRadioLink(sim_a, loss_fn=lambda t: loss, name="a.link")
+        link_a = ProbeRadioLink(sim_a, loss_fn=lambda ts: [loss] * len(ts), name="a.link")
         bulk = BulkFetcher(sim_a)
         bulk_bytes = 0
         for _ in range(6):
@@ -139,7 +139,7 @@ class TestProtocolComparison:
 
         sim_b = Simulation(seed=3)
         probe_b = make_probe(sim_b, n)
-        link_b = ProbeRadioLink(sim_b, loss_fn=lambda t: loss, name="b.link")
+        link_b = ProbeRadioLink(sim_b, loss_fn=lambda ts: [loss] * len(ts), name="b.link")
         stopwait = StopWaitFetcher(sim_b, retries_per_reading=8)
         proc_b = sim_b.process(stopwait.fetch(probe_b, link_b))
         sim_b.run(until=sim_b.now + 8 * HOUR)

@@ -1,18 +1,29 @@
 """Scalar reference for the columnar probe-sampling path (test-only).
 
-These are the one-instant-at-a-time bodies the probe sensors and the
-glacier model had before sampling became columnar: every instant looks its
-melt season up through :func:`day_of_year` and fetches its own noise
-blocks.  :func:`sample` must agree bit for bit with
-:meth:`Sensor.sample_many <repro.sensors.base.Sensor.sample_many>`.
+These are the one-instant-at-a-time bodies the probe sensors, the glacier
+model and the weather noise had before they became columnar: every instant
+looks its melt season up through :func:`day_of_year` and fetches its own
+noise blocks.  :func:`sample` must agree bit for bit with
+:meth:`Sensor.sample_many <repro.sensors.base.Sensor.sample_many>`.  The
+oracle shares only the hashed block values with ``src``, never a body that
+interpolates or hoists them.
 """
 
 import math
 
 from repro.environment.seasons import _melt_factor_for_doy
-from repro.environment.weather import _block_noise, _smooth_noise
+from repro.environment.weather import NOISE_BLOCK_S, _block_noise
 from repro.sensors.probe_sensors import ConductivitySensor, PressureSensor, TiltSensor
 from repro.sim.simtime import DAY, day_of_year, fraction_of_day
+
+
+def _smooth_noise(seed, stream, time):
+    position = time / NOISE_BLOCK_S - 0.5
+    lower = math.floor(position)
+    frac = position - lower
+    a = _block_noise(seed, stream, lower)
+    b = _block_noise(seed, stream, lower + 1)
+    return a * (1.0 - frac) + b * frac
 
 
 def melt_fraction(glacier, time):
@@ -33,6 +44,11 @@ def conductivity_us(glacier, time, probe_id):
     )
     value = cfg.conductivity_base_us + cfg.conductivity_melt_us * melt * gain
     return max(0.0, value + noise * (0.3 + 0.7 * melt))
+
+
+def probe_radio_loss(glacier, time):
+    cfg = glacier.config
+    return cfg.radio_loss_winter + cfg.radio_loss_melt * melt_fraction(glacier, time)
 
 
 def water_pressure_m(glacier, time):

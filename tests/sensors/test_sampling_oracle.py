@@ -1,14 +1,12 @@
-"""Columnar sampling is bitwise equal to the scalar oracle.
+"""Columnar sampling and probe-radio loss are bitwise equal to the scalar oracle.
 
-:meth:`Sensor.sample_many` hoists environment terms out of the per-instant
-loop: the melt-season factor is looked up once per UTC day, the two noise
-blocks once per 3-hour block, the tilt creep rate once per column.  The
-scalar :meth:`GlacierModel.melt_fraction` keeps the last day's season
-factor between calls.  The
-drawn instants therefore concentrate where a hoisted term could go stale:
-either side of 3-hour noise-block edges, within a microsecond of UTC
-midnight (where :func:`day_of_year` rounds to whole microseconds), and at
-negative times.
+:meth:`Sensor.sample_many` and :meth:`GlacierModel.probe_radio_loss` hoist
+environment terms out of the per-instant loop: the melt-season factor is
+looked up once per UTC day, the two noise blocks once per 3-hour block, the
+tilt creep rate once per column.  The drawn instants therefore concentrate
+where a hoisted term could go stale: either side of 3-hour noise-block
+edges, within a microsecond of UTC midnight (where :func:`day_of_year`
+rounds to whole microseconds), and at negative times.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -55,9 +53,16 @@ def assert_matches_oracle(seed, probe_id, times):
         expected = [scalar_oracle.sample(sensor, t) for t in times]
         assert bits(sensor.sample_many(times)) == bits(expected), sensor.name
         assert bits(sensor.sample(t) for t in times) == bits(expected), sensor.name
-    # The scalar path keeps the last day's season factor between calls.
     assert bits(glacier.melt_fraction(t) for t in times) == bits(
         scalar_oracle.melt_fraction(glacier, t) for t in times)
+
+
+def assert_loss_matches_oracle(seed, times):
+    glacier = GlacierModel(seed=seed)
+    expected = bits(scalar_oracle.probe_radio_loss(glacier, t) for t in times)
+    assert bits(glacier.probe_radio_loss(times)) == expected
+    # A lone packet asks for a column of one.
+    assert bits(glacier.probe_radio_loss([t])[0] for t in times) == expected
 
 
 @settings_
@@ -91,3 +96,30 @@ def test_midnight_guard_instants():
     assert bits(glacier.water_pressure_many(times)) == bits(
         scalar_oracle.water_pressure_m(glacier, t) for t in times)
     assert_matches_oracle(2, 24, times)
+
+
+# Airtimes of a 12-byte and a 120-byte packet, and one short enough that
+# several arrivals fall inside the 1 µs midnight guard.
+PACKET_TIMES = [0.4e-6, (12 + 8) * 8 / 9600.0 + 0.05, (120 + 8) * 8 / 9600.0 + 0.05]
+
+
+@settings_
+@given(seed=st.integers(0, 5), day=DAYS,
+       edge=st.sampled_from([0.0, 0.5 * NOISE_BLOCK_S, 3.5 * NOISE_BLOCK_S]),
+       packet_s=st.sampled_from(PACKET_TIMES), before=st.integers(0, 40),
+       count=st.integers(1, 120))
+def test_probe_radio_burst_columns_match_the_oracle(seed, day, edge, packet_s,
+                                                    before, count):
+    # A burst's arrival instants, starting ``before`` packets ahead of a UTC
+    # midnight or a 3-hour noise-block edge.
+    start = day * DAY + edge - before * packet_s
+    assert_loss_matches_oracle(seed, [start + k * packet_s for k in range(count)])
+
+
+def test_probe_radio_loss_straddles_midnight_and_block_edge():
+    packet_s = PACKET_TIMES[0]
+    for day in (-3, 0, 214, 215):
+        for edge in (0.0, 0.5 * NOISE_BLOCK_S):
+            start = day * DAY + edge - 5 * packet_s
+            assert_loss_matches_oracle(2, [start + k * packet_s for k in range(11)])
+    assert_loss_matches_oracle(2, [214 * DAY + 0.4e-6])

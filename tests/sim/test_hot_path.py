@@ -229,3 +229,30 @@ class TestDispatchRefresh:
         sim.run(until=2.0)
         assert sim.events_processed == 1
         assert len(old.spans) == 0
+
+
+class TestObsTiers:
+    """The obs overhead guard's 5,000-timeout workload under each obs tier.
+
+    ``benchmarks/test_obs_overhead.py`` times it with no hub and with the
+    default hub; these pin what each tier's run must produce.
+    """
+
+    EVENTS = 5000
+
+    def run_workload(self, sim):
+        for i in range(self.EVENTS):
+            sim.timeout(float(i % 97))
+        sim.run()
+        return sim
+
+    def test_no_hub_and_default_hub_run_to_the_last_timeout(self, sim):
+        bare = Simulation(seed=1)
+        bare.obs = None
+        assert self.run_workload(bare).now == 96.0
+        assert self.run_workload(sim).now == 96.0
+
+    def test_kernel_spans_record_at_least_one_span_per_event(self, sim):
+        sim.obs.enable_kernel_spans()
+        self.run_workload(sim)
+        assert len(sim.obs.spans) >= self.EVENTS

@@ -140,7 +140,7 @@ class TestProtocolInvariants:
         # cannot grow it — the invariant is about one fixed task.
         task = probe.task()
         assert task is not None and task.total == n_readings
-        link = ProbeRadioLink(sim, loss_fn=lambda t: loss, name="prop.link")
+        link = ProbeRadioLink(sim, loss_fn=lambda ts: [loss] * len(ts), name="prop.link")
         fetcher = BulkFetcher(sim)
         total_new = 0
         for _session in range(6):
