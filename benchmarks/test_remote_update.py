@@ -79,7 +79,7 @@ def test_checksum_report_is_immediate(benchmark, emit):
             start = sim.now
             outcome = yield sim.process(
                 verify_and_install(
-                    sim, modem, deployment.server, "base", "basestation.py",
+                    sim, modem, deployment.base.server, "base", "basestation.py",
                     deployment.base.installed_versions,
                 )
             )
@@ -120,7 +120,7 @@ def test_corrupt_update_keeps_old_version(benchmark):
             yield sim.process(modem.connect())
             outcome = yield sim.process(
                 verify_and_install(
-                    sim, modem, deployment.server, "base", "basestation.py",
+                    sim, modem, deployment.base.server, "base", "basestation.py",
                     deployment.base.installed_versions,
                     corruption_probability=1.0,
                 )

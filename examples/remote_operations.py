@@ -64,7 +64,8 @@ def main() -> None:
         modem = deployment.base.modem
         yield sim.process(modem.connect())
         outcome = yield sim.process(
-            verify_and_install(sim, modem, server, "base", "basestation.py",
+            verify_and_install(sim, modem, deployment.base.server, "base",
+                               "basestation.py",
                                deployment.base.installed_versions,
                                corruption_probability=corruption)
         )

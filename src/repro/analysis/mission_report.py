@@ -80,7 +80,7 @@ def _comms_section(deployment) -> str:
 
 
 def _fleet_section(deployment) -> str:
-    fleet = deployment.fleet
+    fleet = deployment.server
     rows = []
     shard_bytes = []
     for shard in fleet.shards:
@@ -100,8 +100,8 @@ def _fleet_section(deployment) -> str:
         rows,
         title="Server fleet",
     )
-    mean = sum(shard_bytes) / len(shard_bytes) if shard_bytes else 0.0
-    hops = sum(getattr(s.server, "hops", 0) for s in deployment.stations)
+    mean = sum(shard_bytes) / len(shard_bytes)
+    hops = sum(s.server.hops for s in deployment.stations)
     extra = (
         f"\nPolicy: {deployment.config.server_policy}; "
         f"load imbalance (max/mean bytes): "
@@ -249,7 +249,7 @@ def mission_report(deployment) -> str:
         _power_section(deployment),
         _comms_section(deployment),
     ]
-    if getattr(deployment, "fleet", None) is not None:
+    if len(deployment.server.shards) > 1:
         sections.append(_fleet_section(deployment))
     sections += [
         _probe_section(deployment),

@@ -135,9 +135,10 @@ class DeploymentConfig:
     #: pair (``station00``, ``station01``, ...), each with its wake/comms
     #: window staggered so contacts spread across the day.
     extra_stations: int = 0
-    #: Southampton server shards.  1 (default) keeps the paper's single
-    #: standalone server; >1 builds a :class:`repro.server.fleet.ServerFleet`
-    #: and gives every station a policy-driven
+    #: Southampton server shards in the deployment's
+    #: :class:`repro.server.fleet.ServerFleet`.  1 (default) is the paper's
+    #: single server (one shard named ``"server"``); every station reaches
+    #: the fleet through a policy-driven
     #: :class:`repro.core.targets.FleetClient`.
     servers: int = 1
     #: Station-side upload-target policy against a fleet: ``"static"``

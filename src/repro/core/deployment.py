@@ -11,10 +11,12 @@ library's primary entry point::
     deployment.run_days(30)
     print(deployment.base.effective_state)
 
-Beyond the paper's pair, ``extra_stations`` adds solar-only satellite
-stations and ``servers > 1`` replaces the single Southampton box with a
-:class:`~repro.server.fleet.ServerFleet`; each station then talks through
-its own policy-driven :class:`~repro.core.targets.FleetClient`.
+The server side is always a :class:`~repro.server.fleet.ServerFleet` —
+the paper's single Southampton box is a fleet of one — and every station
+talks to it through its own policy-driven
+:class:`~repro.core.targets.FleetClient`.  Beyond the paper's pair,
+``extra_stations`` adds solar-only satellite stations, ``servers > 1``
+shards the fleet and ``tenant_size`` confines the min rule to tenants.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.probes.probe import Probe, WiredProbe
 from repro.sensors.probe_sensors import make_probe_sensor_suite
 from repro.sensors.station_sensors import make_station_sensor_suite
 from repro.server.fleet import ServerFleet, tenant_map
-from repro.server.server import SouthamptonServer
 from repro.sim.kernel import Simulation
 
 #: Stagger applied to each extra station's wake/comms hours, seconds.  A
@@ -65,30 +66,17 @@ class Deployment:
         self.weather = IcelandWeather(cfg.weather, seed=cfg.seed)
         self.glacier = GlacierModel(cfg.glacier, seed=cfg.seed)
 
-        # --- server side: single box, or a fleet of shards ---
+        # --- server side: one fleet, reached through per-station clients ---
         extra_configs = [
             _extra_station_config(cfg.base, index) for index in range(cfg.extra_stations)
         ]
         station_names = [cfg.base.name, cfg.reference.name] + [
             extra.name for extra in extra_configs
         ]
-        if cfg.servers < 1:
-            raise ValueError(f"servers must be >= 1, got {cfg.servers}")
-        self.fleet: Optional[ServerFleet] = None
-        if cfg.servers > 1 or cfg.tenant_size > 0:
-            tenant_of = (
-                tenant_map(station_names, cfg.tenant_size)
-                if cfg.tenant_size > 0 else None
-            )
-            self.fleet = ServerFleet(self.sim, cfg.servers, tenant_of=tenant_of)
-            if len(self.fleet.shards) == 1:
-                # Degenerate fleet (tenancy only): stations talk straight
-                # to the one shard, no client indirection needed.
-                self.server = self.fleet.shards[0]
-            else:
-                self.server = self.fleet
-        else:
-            self.server = SouthamptonServer(self.sim)
+        tenant_of = (
+            tenant_map(station_names, cfg.tenant_size) if cfg.tenant_size > 0 else None
+        )
+        self.server = ServerFleet(self.sim, cfg.servers, tenant_of=tenant_of)
 
         # --- probes ---
         lifetimes = cfg.probe_lifetimes_days or [None] * len(cfg.probe_ids)
@@ -147,23 +135,18 @@ class Deployment:
         #: carries a plan; None when no faults are armed.
         self.fault_engine = None
 
-    def _station_server(self, station_name: str, station_index: int):
-        """What a station dials: the server itself, or its fleet client."""
-        if self.fleet is None or self.server is not self.fleet:
-            return self.server
+    def _station_server(self, station_name: str, station_index: int) -> FleetClient:
+        """The station's own client onto the server fleet."""
         cfg = self.config
         # "static" and "hop" both start where the paper's stations did —
         # everyone dials *the* Southampton server (shard 0); hop then
         # steers away by load hints while static stays put.  Round-robin
         # spreads obliviously from a per-station offset.
-        if cfg.server_policy == "round-robin":
-            home = station_index % len(self.fleet.shards)
-        else:
-            home = 0
+        home = station_index if cfg.server_policy == "round-robin" else 0
         return FleetClient(
             self.sim,
             station_name,
-            self.fleet,
+            self.server,
             policy=cfg.server_policy,
             home=home,
             costs=cfg.server_costs,
@@ -186,7 +169,7 @@ class Deployment:
     # ------------------------------------------------------------------
     def set_manual_override(self, state: Optional[int]) -> None:
         """Operator override on the Southampton server (None clears)."""
-        self.server.power_states.set_manual_override(state)
+        self.server.set_manual_override(state)
 
     def voltage_series(self, station: str = "base"):
         """(time, volts) samples the station's MSP430 recorded (from trace)."""

@@ -32,6 +32,7 @@ from repro.energy.bus import PowerBus
 from repro.energy.components import GPRS_MODEM, DeviceSpec
 from repro.energy.sources import ConstantSource, SolarPanel, WindTurbine
 from repro.environment.weather import IcelandWeather, WeatherConfig
+from repro.server.fleet import ServerFleet
 from repro.server.server import SouthamptonServer
 from repro.sim.kernel import Simulation
 from repro.sim.simtime import DAY, HOUR, next_time_of_day
@@ -203,7 +204,7 @@ class RadioRelayDeployment:
         self.config = config if config is not None else RelayConfig()
         self.sim = Simulation(seed=self.config.seed)
         self.weather = IcelandWeather(WeatherConfig(), seed=self.config.seed)
-        self.server = SouthamptonServer(self.sim)
+        self.server = ServerFleet(self.sim, 1).shard(0)
         self.reference = RelayReferenceStation(self.sim, self.weather, self.config,
                                                self.server)
         self.base = RelayBaseStation(self.sim, self.weather, self.config, self.reference)

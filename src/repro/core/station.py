@@ -377,11 +377,9 @@ class Station:
 
     def _comms_session_body(self, local_state: PowerState):
         inc = self.sim.obs.metrics.inc
-        # Against a fleet, re-run the upload-target policy before dialling:
-        # the whole session sticks to the shard chosen here.
-        begin_session = getattr(self.server, "begin_session", None)
-        if begin_session is not None:
-            begin_session()
+        # Re-run the upload-target policy before dialling: the whole
+        # session sticks to the shard chosen here.
+        self.server.begin_session()
         try:
             yield self.sim.process(self.modem.connect())
         except LinkDown:

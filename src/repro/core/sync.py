@@ -83,7 +83,7 @@ class StateSynchronizer:
         station relies on its local state and skips the drained special.
         Returns ``(effective_state, override_or_None, special_or_None,
         loads_or_None)`` — ``loads`` is the fleet's piggybacked per-shard
-        load hint (None from a standalone server).
+        load hint, None only when the request failed.
         """
         try:
             yield self.sim.process(

@@ -118,10 +118,6 @@ class FleetClient:
             return self.current
         return best
 
-    def _absorb_hints(self, loads: Optional[Dict[str, int]]) -> None:
-        if loads is not None:
-            self.load_hints = dict(loads)
-
     @property
     def shard(self):
         """The shard this session is pinned to."""
@@ -135,12 +131,12 @@ class FleetClient:
 
     def get_override_state(self, station: str) -> Optional[int]:
         override = self.shard.get_override_state(station)
-        self._absorb_hints(self.fleet.load_hints())
+        self.load_hints = self.fleet.load_hints()
         return override
 
     def sync_session(self, station: str, state: int) -> Dict:
         response = self.shard.sync_session(station, state)
-        self._absorb_hints(response["loads"])
+        self.load_hints = response["loads"]
         return response
 
     def upload_data(self, station: str, nbytes: int, kind: str, payload=None,
@@ -160,14 +156,4 @@ class FleetClient:
     def releases(self):
         """The fleet-shared release registry (read by the auto-updater)."""
         return self.fleet.releases
-
-    @property
-    def power_states(self):
-        """The fleet-shared state store."""
-        return self.fleet.power_states
-
-    def received_bytes(self, station: Optional[str] = None, kind: Optional[str] = None,
-                       unique: bool = False) -> int:
-        """Fleet-wide total — analysis code reads this off any station."""
-        return self.fleet.received_bytes(station=station, kind=kind, unique=unique)
 

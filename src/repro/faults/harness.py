@@ -59,6 +59,7 @@ class FaultEngine:
 
     def _arm(self) -> None:
         sim = self.deployment.sim
+        shards = self.deployment.server.shards
 
         gprs_windows: Dict[str, List[Tuple[float, float]]] = {}
         probe_windows: Dict[str, List[Tuple[float, float, float]]] = {}
@@ -80,13 +81,11 @@ class FaultEngine:
                     (fault.start_s, fault.end_s, fault.spec.loss))
             elif fault.kind == "server-outage":
                 shard = fault.spec.server
-                if shard is not None:
-                    fleet = getattr(self.deployment, "fleet", None)
-                    if fleet is None or shard >= len(fleet.shards):
-                        raise ValueError(
-                            f"fault plan {self.plan.name!r} targets server"
-                            f" shard {shard}, but the deployment has"
-                            f" {len(fleet.shards) if fleet else 1} server(s)")
+                if shard is not None and shard >= len(shards):
+                    raise ValueError(
+                        f"fault plan {self.plan.name!r} targets server"
+                        f" shard {shard}, but the deployment has"
+                        f" {len(shards)} server(s)")
                 server_windows.setdefault(shard, []).append(
                     (fault.start_s, fault.end_s))
             elif fault.kind == "rtc-reset":
@@ -113,24 +112,18 @@ class FaultEngine:
             self.injectors.append(
                 ProbeLossInjector(sim, name, station.probe_links.values(),
                                   windows))
-        fleet = getattr(self.deployment, "fleet", None)
         for shard, windows in sorted(
             server_windows.items(), key=lambda item: (item[0] is not None, item[0] or 0)
         ):
-            if shard is not None:
-                # Per-shard outage: wrap that shard only, labelled by name.
-                target = fleet.shards[shard]
-                self.injectors.append(
-                    ServerOutageInjector(sim, target, windows,
-                                         station=target.name))
-            elif fleet is not None:
-                # Whole-server-side outage against a fleet: every shard
-                # goes dark on the shared windows, announced once.
-                self.injectors.append(
-                    ServerOutageInjector(sim, fleet.shards, windows))
+            if shard is None:
+                # Whole-server-side outage: every shard goes dark on the
+                # shared windows, announced once under the "*" label.
+                self.injectors.append(ServerOutageInjector(sim, shards, windows))
             else:
+                # Per-shard outage: wrap that shard only, labelled by name.
+                target = shards[shard]
                 self.injectors.append(
-                    ServerOutageInjector(sim, self.deployment.server, windows))
+                    ServerOutageInjector(sim, [target], windows, station=target.name))
 
     # ------------------------------------------------------------------
     def finish(self) -> InvariantReport:

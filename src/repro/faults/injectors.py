@@ -149,22 +149,19 @@ class ServerOutageInjector:
     the session dropping mid-call, which is exactly the failure the Fig 4
     handlers (``comms_dropped``, ``override_fetch_failed``) are for.
 
-    Against a fleet, one injector targets one *shard*; ``station`` then
-    carries the shard's name (``"server0"``) on the announcement records
-    so the invariant checker can track each shard's outage separately.  A
-    fleet-wide outage passes every shard as ``server`` (a sequence) with
+    ``shards`` are the server shards that go dark together.  A per-shard
+    outage passes one shard and its name (``"server0"``) as ``station`` on
+    the announcement records, so the invariant checker can track each
+    shard's outage separately; a fleet-wide outage passes every shard with
     the classic ``"*"`` label — one announcement, all shards dark.
     """
 
     kind = "server-outage"
 
-    def __init__(self, sim: Simulation, server,
+    def __init__(self, sim: Simulation, shards: Sequence[SouthamptonServer],
                  windows: Sequence[Window], station: str = "*") -> None:
         self.sim = sim
-        targets: Sequence[SouthamptonServer] = (
-            server if isinstance(server, (list, tuple)) else (server,)
-        )
-        self.servers = list(targets)
+        self.servers = list(shards)
         self.windows = sorted(windows)
         for target in self.servers:
             for method_name in SERVER_OUTAGE_METHODS:

@@ -173,8 +173,8 @@ class InvariantChecker:
         if kind in ("override_served", "sync_session"):
             # A server (shard) answering a station after its outage window
             # proves that shard is back; ``source`` is its name ("server"
-            # standalone, "server0"... in a fleet), which the per-shard
-            # announcements use as their station label.
+            # in a fleet of one, "server0"... in a larger fleet), which the
+            # per-shard announcements use as their station label.
             self._resolve("server-outage", source, record.time, "reconnected")
             return
 

@@ -185,10 +185,10 @@ def summarise(deployment: Deployment, days: float) -> Dict[str, Any]:
         "probes_alive": deployment.surviving_probes(),
         "readings_collected": deployment.base.readings_collected,
     }
-    fleet = getattr(deployment, "fleet", None)
-    if fleet is not None:
+    fleet = deployment.server
+    if len(fleet.shards) > 1:
         shard_bytes = [shard.received_bytes() for shard in fleet.shards]
-        mean = sum(shard_bytes) / len(shard_bytes) if shard_bytes else 0.0
+        mean = sum(shard_bytes) / len(shard_bytes)
         summary["fleet"] = {
             "servers": len(fleet.shards),
             "policy": deployment.config.server_policy,
@@ -199,12 +199,9 @@ def summarise(deployment: Deployment, days: float) -> Dict[str, Any]:
                 }
                 for shard in fleet.shards
             },
-            "max_shard_bytes": max(shard_bytes) if shard_bytes else 0,
+            "max_shard_bytes": max(shard_bytes),
             "imbalance": round(max(shard_bytes) / mean, 6) if mean else 0.0,
-            "hops": sum(
-                getattr(station.server, "hops", 0)
-                for station in deployment.stations
-            ),
+            "hops": sum(station.server.hops for station in deployment.stations),
             "retransfers": fleet.retransfers,
         }
     return summary

@@ -17,7 +17,7 @@ from repro.server.fleet import ServerFleet, tenant_map
 from repro.server.index import ArchiveIndex
 from repro.server.operations import Alert, OperationsConsole
 from repro.server.server import SouthamptonServer, SpecialCommand
-from repro.server.state_store import PowerStateStore, Sequencer, TenantStateStore
+from repro.server.state_store import PowerStateStore, Sequencer
 
 __all__ = [
     "Alert",
@@ -31,7 +31,6 @@ __all__ = [
     "ServerFleet",
     "SouthamptonServer",
     "SpecialCommand",
-    "TenantStateStore",
     "tenant_map",
     "verify_and_install",
 ]

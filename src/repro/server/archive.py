@@ -22,6 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.gps.dgps import DgpsSolution, solve_all, velocity_series
 from repro.gps.files import GpsReading
+from repro.server.fleet import ServerFleet
 from repro.server.index import ArchiveIndex
 from repro.sim.simtime import DAY
 
@@ -37,16 +38,13 @@ def _merged(buckets: Iterable[List[Tuple[int, Any]]]) -> List[Tuple[int, Any]]:
 
 
 class ScienceArchive:
-    """Query layer over a server's (or a whole fleet's) received uploads."""
+    """Query layer over a server fleet's received uploads."""
 
-    def __init__(self, server: Any) -> None:
+    def __init__(self, server: ServerFleet) -> None:
         self.server = server
 
     def _indexes(self) -> Tuple[ArchiveIndex, ...]:
-        shards = getattr(self.server, "shards", None)
-        if shards is None:
-            return (self.server.index,)
-        return tuple(shard.index for shard in shards)
+        return tuple(shard.index for shard in self.server.shards)
 
     # ------------------------------------------------------------------
     # Raw extraction

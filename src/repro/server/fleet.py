@@ -16,11 +16,13 @@ their :class:`~repro.core.targets.FleetClient` policy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import heapq
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.server.deployment import CodeRelease
-from repro.server.server import SouthamptonServer, SpecialCommand
-from repro.server.state_store import PowerStateStore, Sequencer, TenantStateStore
+from repro.server.server import DataUpload, SouthamptonServer, SpecialCommand
+from repro.server.state_store import PowerStateStore, Sequencer
 from repro.sim.kernel import Simulation
 
 
@@ -44,9 +46,13 @@ def tenant_map(station_names: Sequence[str], tenant_size: int) -> Callable[[str]
 class ServerFleet:
     """N server shards sharing one control plane.
 
-    ``tenant_of`` switches the shared power-state store to per-tenant min
-    rule (see :class:`~repro.server.state_store.TenantStateStore`); without
-    it the fleet behaves like the paper's single global-minimum store.
+    Every deployment's server side is a fleet; the paper's single
+    Southampton box is a fleet of one, whose shard keeps the name
+    ``"server"`` — shards are called ``server{i}`` only when there are two
+    or more.  ``tenant_of`` confines the shared power-state store's min rule
+    to each station's tenant (see
+    :class:`~repro.server.state_store.PowerStateStore`); without it the
+    fleet applies the paper's single global minimum.
     """
 
     def __init__(
@@ -59,29 +65,16 @@ class ServerFleet:
         if count < 1:
             raise ValueError(f"fleet needs at least one shard, got {count}")
         self.sim = sim
-        power_states: Any = (
-            TenantStateStore(tenant_of) if tenant_of is not None else PowerStateStore()
-        )
-        specials: Dict[str, List[SpecialCommand]] = {}
-        releases: Dict[str, CodeRelease] = {}
-        command_ids = Sequencer()
-        ingest_seq = Sequencer()
-        seen_names: set = set()
+        self.power_states = PowerStateStore(tenant_of)
+        self.specials: Dict[str, List[SpecialCommand]] = {}
+        self.releases: Dict[str, CodeRelease] = {}
+        self.command_ids = Sequencer()
+        self.ingest_seq = Sequencer()
+        self.seen_names: set = set()
+        names = ["server"] if count == 1 else [f"server{index}" for index in range(count)]
         self.shards: List[SouthamptonServer] = [
-            SouthamptonServer(
-                sim,
-                name=f"server{index}",
-                power_states=power_states,
-                specials=specials,
-                releases=releases,
-                command_ids=command_ids,
-                ingest_seq=ingest_seq,
-                seen_names=seen_names,
-            )
-            for index in range(count)
+            SouthamptonServer(sim, self, name) for name in names
         ]
-        for shard in self.shards:
-            shard.fleet = self
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -93,16 +86,6 @@ class ServerFleet:
     # ------------------------------------------------------------------
     # Shared control plane (operator-facing)
     # ------------------------------------------------------------------
-    @property
-    def power_states(self) -> Any:
-        """The shared state store (same object on every shard)."""
-        return self.shards[0].power_states
-
-    @property
-    def releases(self) -> Dict[str, CodeRelease]:
-        """The shared release registry (same dict on every shard)."""
-        return self.shards[0].releases
-
     def set_manual_override(self, state: Optional[int]) -> None:
         """Operator override, visible through every shard."""
         self.power_states.set_manual_override(state)
@@ -142,6 +125,12 @@ class ServerFleet:
             shard.received_bytes(station=station, kind=kind, unique=unique)
             for shard in self.shards
         )
+
+    @property
+    def uploads(self) -> List[DataUpload]:
+        """Every shard's uploads, in time order (ties by shard order)."""
+        return list(heapq.merge(*(shard.uploads for shard in self.shards),
+                                key=attrgetter("time")))
 
     @property
     def retransfers(self) -> int:

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.server.archive import ScienceArchive
 from repro.server.deployment import CodeRelease
-from repro.server.server import SouthamptonServer
+from repro.server.fleet import ServerFleet
 from repro.sim.kernel import Simulation
 from repro.sim.simtime import DAY
 
@@ -40,7 +40,7 @@ class OperationsConsole:
     Parameters
     ----------
     sim, server:
-        Kernel and the server whose uploads are reviewed.
+        Kernel and the server fleet whose uploads are reviewed.
     auto_override:
         When True, a station with a declining battery trend causes a
         server-side manual override one state below the healthy minimum —
@@ -55,7 +55,7 @@ class OperationsConsole:
     def __init__(
         self,
         sim: Simulation,
-        server: SouthamptonServer,
+        server: ServerFleet,
         stations: Optional[List[str]] = None,
         auto_override: bool = False,
         review_hour: float = 16.0,

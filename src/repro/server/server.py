@@ -6,23 +6,26 @@ server itself.  Station code must only call these while its GPRS session is
 up — the clients in :mod:`repro.core.sync` and :mod:`repro.core.station`
 enforce that.
 
-A server can run standalone (the paper's deployment) or as one shard of a
-:class:`~repro.server.fleet.ServerFleet`: shards share the control plane
-(power states, special queues, releases, id sequencers) but keep their own
-data-plane archives, so a station may upload to any shard and still see
-one coherent service.
+Every server is one shard of a :class:`~repro.server.fleet.ServerFleet`
+(the paper's single Southampton box is a fleet of one): shards share the
+fleet's control plane (power states, special queues, releases, id
+sequencers) but keep their own data-plane archives, so a station may
+upload to any shard and still see one coherent service.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.server.deployment import CodeRelease
 from repro.server.index import ArchiveIndex
-from repro.server.state_store import PowerStateStore, Sequencer
+from repro.server.state_store import Sequencer
 from repro.sim.kernel import Simulation
 from repro.sim.simtime import DAY
+
+if TYPE_CHECKING:  # pragma: no cover - fleet.py imports this module
+    from repro.server.fleet import ServerFleet
 
 
 @dataclass
@@ -59,42 +62,31 @@ LOAD_WINDOW_S = DAY
 class SouthamptonServer:
     """State sync + data ingest + special commands + code releases."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        name: str = "server",
-        *,
-        power_states: Optional[Any] = None,
-        specials: Optional[Dict[str, List[SpecialCommand]]] = None,
-        releases: Optional[Dict[str, CodeRelease]] = None,
-        command_ids: Optional[Sequencer] = None,
-        ingest_seq: Optional[Sequencer] = None,
-        seen_names: Optional[set] = None,
-    ) -> None:
+    def __init__(self, sim: Simulation, fleet: ServerFleet, name: str) -> None:
         self.sim = sim
+        #: The :class:`~repro.server.fleet.ServerFleet` this shard belongs to;
+        #: its control plane is shared by reference.
+        self.fleet = fleet
         self.name = name
-        self.power_states = power_states if power_states is not None else PowerStateStore()
+        self.power_states = fleet.power_states
         self.uploads: List[DataUpload] = []
         self.index = ArchiveIndex()
-        self._specials: Dict[str, List[SpecialCommand]] = (
-            specials if specials is not None else {}
-        )
-        self._command_ids = command_ids if command_ids is not None else Sequencer()
-        self._ingest_seq = ingest_seq if ingest_seq is not None else Sequencer()
-        self.releases: Dict[str, CodeRelease] = releases if releases is not None else {}
+        self._specials: Dict[str, List[SpecialCommand]] = fleet.specials
+        self._command_ids: Sequencer = fleet.command_ids
+        self._ingest_seq: Sequencer = fleet.ingest_seq
+        self.releases: Dict[str, CodeRelease] = fleet.releases
         self.reported_checksums: List[Tuple[float, str, str, str]] = []
-        #: Back-reference set by :class:`~repro.server.fleet.ServerFleet`.
-        self.fleet: Optional[Any] = None
-        # Shared across a fleet: a re-upload is a retransfer no matter
+        # Shared across the fleet: a re-upload is a retransfer no matter
         # which shard first archived the file.
-        self._seen_names: set = seen_names if seen_names is not None else set()
+        self._seen_names: set = fleet.seen_names
         self.retransfers = 0
         self.state_uploads = 0
         self._load_events: List[Tuple[float, int]] = []
         self._load_start = 0
         self._load_total = 0
-        # The standalone server keeps its historical label sets (and trace
-        # source "server") byte-for-byte; only fleet shards add the label.
+        # A fleet of one keeps the paper's single-server label sets (and
+        # trace source "server") byte-for-byte; only the shards of a larger
+        # fleet add the label and the load gauge.
         self._metric_labels: Dict[str, str] = {} if name == "server" else {"server": name}
 
     # ------------------------------------------------------------------
@@ -118,13 +110,13 @@ class SouthamptonServer:
         The paper's stations spend three modem round-trips per contact on
         state sync alone; at fleet scale that is the dominant server load,
         so this endpoint folds them into a single request.  The response
-        piggybacks fleet ``loads`` hints (None when standalone) that feed
-        the station-side hop policy.
+        piggybacks the fleet's per-shard ``loads`` hints that feed the
+        station-side hop policy.
         """
         self.upload_power_state(station, state)
         override = self.get_override_state(station)
         special = self.get_special(station)
-        loads = self.fleet.load_hints() if self.fleet is not None else None
+        loads = self.fleet.load_hints()
         self.sim.trace.emit(
             self.name, "sync_session",
             station=station, state=state, override=override,
@@ -178,7 +170,7 @@ class SouthamptonServer:
         elif name is not None:
             self.sim.trace.emit("prov", "archived", station=station,
                                 file=name, file_kind=kind, bytes=nbytes)
-        if self.fleet is not None or self.name != "server":
+        if self._metric_labels:
             metrics.set_gauge("server_load", self.recent_load(), server=self.name)
 
     def received_bytes(self, station: Optional[str] = None, kind: Optional[str] = None,
@@ -245,8 +237,3 @@ class SouthamptonServer:
         self.sim.trace.emit(
             self.name, "checksum_reported", station=station, release=release_name, md5=md5
         )
-
-    def last_checksum_report(self, release_name: str) -> Optional[Tuple[float, str, str, str]]:
-        """Most recent checksum report for a release, if any."""
-        matching = [r for r in self.reported_checksums if r[2] == release_name]
-        return matching[-1] if matching else None

@@ -41,21 +41,38 @@ class Sequencer:
 
 
 class PowerStateStore:
-    """Uploaded states per station plus an optional manual override."""
+    """Uploaded states per station plus an optional manual override.
 
-    def __init__(self) -> None:
-        self._reports: Dict[str, StateReport] = {}
+    The paper's server applies the Section III minimum across *every*
+    station.  ``tenant_of`` maps a station name to a tenant key and
+    confines the min rule to the station's tenant, so one tenant's dying
+    station cannot throttle another tenant's healthy one; without it every
+    station is in one tenant.  A manual override still reaches everyone
+    (operators act fleet-wide).
+    """
+
+    def __init__(self, tenant_of: Optional[Callable[[str], str]] = None) -> None:
+        self._tenant_of = tenant_of
+        self._tenants: Dict[Optional[str], Dict[str, StateReport]] = {}
         self.manual_override: Optional[int] = None
+
+    def _reports(self, station: str) -> Dict[str, StateReport]:
+        """The reports of ``station``'s tenant."""
+        tenant = self._tenant_of(station) if self._tenant_of is not None else None
+        reports = self._tenants.get(tenant)
+        if reports is None:
+            reports = self._tenants[tenant] = {}
+        return reports
 
     def upload(self, station: str, state: int, time: float) -> None:
         """Record a station's locally-computed power state."""
         if not 0 <= state <= 3:
             raise ValueError(f"power state must be 0-3, got {state}")
-        self._reports[station] = StateReport(state=state, reported_at=time)
+        self._reports(station)[station] = StateReport(state=state, reported_at=time)
 
     def report_for(self, station: str) -> Optional[StateReport]:
         """The last report from ``station``, if any."""
-        return self._reports.get(station)
+        return self._reports(station).get(station)
 
     def set_manual_override(self, state: Optional[int]) -> None:
         """Operator override (``None`` clears it)."""
@@ -65,12 +82,12 @@ class PowerStateStore:
 
     def override_for(self, station: str) -> Optional[int]:
         """The override the server returns to ``station``: the minimum of
-        every known station state and the manual override.
+        every known state in its tenant and the manual override.
 
         Returns ``None`` when the server knows nothing at all (a fresh
         deployment) — the station then runs on its local state.
         """
-        candidates = [report.state for report in self._reports.values()]
+        candidates = [report.state for report in self._reports(station).values()]
         if self.manual_override is not None:
             candidates.append(self.manual_override)
         if not candidates:
@@ -78,60 +95,7 @@ class PowerStateStore:
         return min(candidates)
 
     def known_stations(self) -> Tuple[str, ...]:
-        """Stations that have ever reported."""
-        return tuple(sorted(self._reports))
-
-
-class TenantStateStore:
-    """Per-tenant min-rule state, behind the PowerStateStore surface.
-
-    The single-server deployment applies the Section III minimum across
-    *every* station; a multi-tenant fleet must not let one tenant's dying
-    station throttle another tenant's healthy one.  ``tenant_of`` maps a
-    station name to its tenant key; each tenant gets its own
-    :class:`PowerStateStore` and the min rule runs within the tenant only.
-    A manual override still reaches everyone (operators act fleet-wide).
-    """
-
-    def __init__(self, tenant_of: Callable[[str], str]) -> None:
-        self._tenant_of = tenant_of
-        self._tenants: Dict[str, PowerStateStore] = {}
-        self.manual_override: Optional[int] = None
-
-    def _store(self, station: str) -> PowerStateStore:
-        tenant = self._tenant_of(station)
-        store = self._tenants.get(tenant)
-        if store is None:
-            store = self._tenants[tenant] = PowerStateStore()
-        return store
-
-    def upload(self, station: str, state: int, time: float) -> None:
-        """Record a station's state in its tenant's store."""
-        self._store(station).upload(station, state, time)
-
-    def report_for(self, station: str) -> Optional[StateReport]:
-        """The last report from ``station``, if any."""
-        return self._store(station).report_for(station)
-
-    def set_manual_override(self, state: Optional[int]) -> None:
-        """Operator override; reaches every tenant (``None`` clears it)."""
-        if state is not None and not 0 <= state <= 3:
-            raise ValueError(f"power state must be 0-3, got {state}")
-        self.manual_override = state
-        for store in self._tenants.values():
-            store.set_manual_override(state)
-
-    def override_for(self, station: str) -> Optional[int]:
-        """The min-rule override within ``station``'s tenant only."""
-        store = self._store(station)
-        store.set_manual_override(self.manual_override)
-        return store.override_for(station)
-
-    def known_stations(self) -> Tuple[str, ...]:
         """Stations that have ever reported, across every tenant."""
-        names = [s for store in self._tenants.values() for s in store.known_stations()]
-        return tuple(sorted(names))
-
-    def tenants(self) -> Tuple[str, ...]:
-        """Tenant keys that have at least one report."""
-        return tuple(sorted(self._tenants))
+        return tuple(sorted(
+            station for reports in self._tenants.values() for station in reports
+        ))

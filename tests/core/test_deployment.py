@@ -1,9 +1,13 @@
 """Deployment-level tests: determinism, failure injection, lessons-learnt."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import Deployment, DeploymentConfig
 from repro.core.config import StationConfig, reference_defaults
+from repro.core.targets import POLICIES
+from repro.lint.determinism import lines_digest, trace_lines
 from repro.sim.simtime import DAY, HOUR
 
 
@@ -215,3 +219,62 @@ class TestTiltSensorsOption:
 
         archive = ScienceArchive(deployment.server)
         assert archive.sensor_series("base", "enclosure_pitch_deg") == []
+
+
+class TestOneServer:
+    """``servers=1`` is a fleet of one shard named "server", which every
+    station reaches through its own client."""
+
+    def test_policies_agree_on_a_fleet_of_one(self):
+        digests = set()
+        for policy in POLICIES:
+            deployment = Deployment(DeploymentConfig(seed=5, extra_stations=2,
+                                                     server_policy=policy))
+            deployment.run_days(3)
+            lines = trace_lines(deployment)
+            assert not any("|fleet_hop|" in line or "server0" in line
+                           for line in lines)
+            digests.add(lines_digest(lines))
+        assert len(digests) == 1
+
+
+class TestTenancy:
+    """``tenant_size`` confines the min rule to each station's tenant."""
+
+    def mission(self, tenant_size):
+        # A reference with no charging sinks to a low state within days.
+        reference = dataclasses.replace(reference_defaults(), solar_w=0.0,
+                                        mains_w=0.0, initial_soc=0.5)
+        deployment = Deployment(DeploymentConfig(
+            seed=7, reference=reference, tenant_size=tenant_size))
+        deployment.run_days(4)
+        return deployment
+
+    @staticmethod
+    def served(deployment):
+        """(station, its own last uploaded state, override served) per
+        override the server answered, read from the trace."""
+        own, rows = {}, []
+        for record in deployment.sim.trace.records:
+            station = record.detail.get("station")
+            if record.kind == "power_state_upload":
+                own[station] = record.detail["state"]
+            elif record.kind == "override_served":
+                rows.append((station, own.get(station), record.detail["override"]))
+        return rows
+
+    def test_each_station_overridden_only_by_its_own_state(self):
+        deployment = self.mission(tenant_size=1)
+        served = self.served(deployment)
+        assert {station for station, _own, _override in served} == {"base", "reference"}
+        assert all(override == own for _station, own, override in served)
+        reports = deployment.server.power_states
+        assert reports.report_for("reference").state < reports.report_for("base").state
+        assert int(deployment.base.effective_state) == reports.report_for("base").state
+        assert {record.source for record in deployment.sim.trace.select(
+            kind="override_served")} == {"server"}
+
+    def test_without_tenancy_the_starved_station_pulls_the_base_down(self):
+        served = self.served(self.mission(tenant_size=0))
+        assert any(station == "base" and override < own
+                   for station, own, override in served)

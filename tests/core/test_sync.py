@@ -7,14 +7,14 @@ from repro.core.power_policy import PowerState
 from repro.core.sync import StateSynchronizer
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
-from repro.server.server import SouthamptonServer
+from repro.server.fleet import ServerFleet
 from repro.sim import Simulation
 from repro.sim.simtime import DAY, HOUR
 
 
 def make_rig(outage=0.0):
     sim = Simulation(seed=41)
-    server = SouthamptonServer(sim)
+    server = ServerFleet(sim, 1).shard(0)
     bus = PowerBus(sim, Battery(soc=0.95), name="y.power")
     modem = GprsModem(sim, bus, name="y.gprs", outage_probability=outage)
     sync = StateSynchronizer(sim, "base", server, modem)
@@ -157,7 +157,7 @@ class TestTwoStationConvergence:
         """Simulate the upload/download ordering of two stations whose
         clocks differ by ``skew_s``; upload takes ``upload_s``."""
         sim = Simulation(seed=42)
-        server = SouthamptonServer(sim)
+        server = ServerFleet(sim, 1).shard(0)
         upload_s = 300.0  # "the upload of data is known to take a few minutes"
         states = {"base": 3, "reference": 2}
         history = []

@@ -37,7 +37,7 @@ class TestFleetOutageDrill:
     def test_mission_shape(self, mission):
         deployment, _report, _conservation = mission
         assert len(deployment.stations) == 20
-        assert len(deployment.fleet.shards) == 2
+        assert len(deployment.server.shards) == 2
 
     def test_no_invariant_violations(self, mission):
         _deployment, report, _conservation = mission
@@ -61,7 +61,7 @@ class TestFleetOutageDrill:
 
     def test_stations_kept_uploading_through_outages(self, mission):
         deployment, _report, _conservation = mission
-        assert deployment.fleet.received_bytes() > 0
+        assert deployment.server.received_bytes() > 0
         # Both shards took uploads despite each losing a window.
         assert all(shard.received_bytes() > 0
-                   for shard in deployment.fleet.shards)
+                   for shard in deployment.server.shards)

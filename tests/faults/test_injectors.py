@@ -16,7 +16,7 @@ from repro.faults.injectors import (
 )
 from repro.hardware.rtc import RealTimeClock
 from repro.hardware.storage import CompactFlashCard, StorageCorruption
-from repro.server.server import SouthamptonServer
+from repro.server.fleet import ServerFleet
 from repro.sim import Simulation
 
 
@@ -121,8 +121,8 @@ class TestProbeLossInjector:
 class TestServerOutageInjector:
     def test_calls_fail_only_inside_window(self):
         sim = Simulation(seed=3)
-        server = SouthamptonServer(sim)
-        ServerOutageInjector(sim, server, [(100.0, 200.0)])
+        server = ServerFleet(sim, 1).shard(0)
+        ServerOutageInjector(sim, [server], [(100.0, 200.0)])
         # Outside the window: normal behaviour.
         assert server.get_override_state("base") is None
         sim.run(until=150.0)

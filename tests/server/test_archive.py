@@ -138,10 +138,10 @@ class TestDgpsScience:
         assert isinstance(days, list)  # may be empty in a quiet week
 
     def test_empty_server_graceful(self):
-        from repro.server.server import SouthamptonServer
+        from repro.server.fleet import ServerFleet
         from repro.sim import Simulation
 
-        archive = ScienceArchive(SouthamptonServer(Simulation()))
+        archive = ScienceArchive(ServerFleet(Simulation(), 1))
         assert archive.solutions() == []
         assert archive.differential_fraction() == 0.0
         assert archive.daily_velocity() == []
@@ -166,16 +166,15 @@ class TestHealthMonitoring:
 
     def _minima_archive(self, daily_minima):
         """An archive whose daily voltage minima are exactly the given list."""
-        from repro.server.server import SouthamptonServer
+        from repro.server.fleet import ServerFleet
         from repro.sim import Simulation
 
-        sim = Simulation(seed=0)
-        server = SouthamptonServer(sim)
+        fleet = ServerFleet(Simulation(seed=0), 1)
         voltages = [(day * 24.0 + 6.0, volts)
                     for day, volts in enumerate(daily_minima)]
-        server.upload_data("base", 1000, kind="sensors",
-                           payload={"voltages": voltages})
-        return ScienceArchive(server)
+        fleet.shard(0).upload_data("base", 1000, kind="sensors",
+                                   payload={"voltages": voltages})
+        return ScienceArchive(fleet)
 
     def test_noisy_but_flat_trend_not_flagged(self):
         """Symmetric noise with a slightly-low last sample: the endpoint

@@ -7,8 +7,7 @@ from repro.core.targets import FleetClient
 from repro.gps.files import GpsReading
 from repro.server.archive import ScienceArchive
 from repro.server.fleet import ServerFleet, tenant_map
-from repro.server.server import SouthamptonServer
-from repro.server.state_store import TenantStateStore
+from repro.server.state_store import PowerStateStore
 from repro.sim import Simulation
 
 
@@ -58,7 +57,8 @@ class TestFleetControlPlane:
     def test_degenerate_single_shard_fleet(self, sim):
         fleet = ServerFleet(sim, 1)
         assert len(fleet) == 1
-        assert fleet.shards[0].name == "server0"
+        # A fleet of one keeps the paper's single-server name.
+        assert fleet.shards[0].name == "server"
 
 
 class TestTenantStore:
@@ -71,14 +71,14 @@ class TestTenantStore:
         assert tenant_of("ghost") == "ghost"
 
     def test_min_rule_confined_to_tenant(self):
-        store = TenantStateStore(tenant_map(["a", "b", "c", "d"], 2))
+        store = PowerStateStore(tenant_map(["a", "b", "c", "d"], 2))
         store.upload("a", 1, time=0.0)
         store.upload("c", 3, time=0.0)
         assert store.override_for("b") == 1  # a's tenant
         assert store.override_for("d") == 3  # unaffected by a's dying battery
 
     def test_manual_override_is_fleet_wide(self):
-        store = TenantStateStore(tenant_map(["a", "b", "c", "d"], 2))
+        store = PowerStateStore(tenant_map(["a", "b", "c", "d"], 2))
         store.upload("a", 3, time=0.0)
         store.upload("c", 3, time=0.0)
         store.set_manual_override(1)
@@ -120,7 +120,7 @@ class TestArchiveEquivalence:
         """Queries over a fleet's merged shard indexes must reproduce a
         single server fed the same uploads in the same global order."""
         fleet = ServerFleet(sim, 2)
-        single = SouthamptonServer(sim)
+        single = ServerFleet(sim, 1)
         uploads = [
             ("base", reading("base", 600.0, 1.0), 0),
             ("reference", reading("reference", 650.0, 0.0), 1),
@@ -130,7 +130,7 @@ class TestArchiveEquivalence:
         for station, payload, shard in uploads:
             fleet.shard(shard).upload_data(station, payload.size_bytes,
                                            kind="gps", payload=payload)
-            single.upload_data(station, payload.size_bytes,
+            single.shard(0).upload_data(station, payload.size_bytes,
                                kind="gps", payload=payload)
         sharded = ScienceArchive(fleet)
         scan = ScienceArchive(single)

@@ -80,14 +80,14 @@ class TestReleaseManagement:
         release = CodeRelease("basestation.py", 2, "v2", 50_000)
         console.push_release(release)
         assert console.release_status("basestation.py") == "pending"
-        deployment.server.report_checksum("base", "basestation.py", release.md5)
+        deployment.server.shard(0).report_checksum("base", "basestation.py", release.md5)
         assert console.release_status("basestation.py") == "installed"
 
     def test_corrupt_status(self):
         deployment, console = healthy_deployment(seed=94)
         release = CodeRelease("basestation.py", 2, "v2", 50_000)
         console.push_release(release)
-        deployment.server.report_checksum("base", "basestation.py", "deadbeef")
+        deployment.server.shard(0).report_checksum("base", "basestation.py", "deadbeef")
         assert console.release_status("basestation.py") == "corrupt"
 
     def test_unknown_release(self):
@@ -117,3 +117,22 @@ class TestDataBudget:
         console = OperationsConsole(deployment.sim, deployment.server)
         deployment.run_days(3)
         assert all(a.kind != "data_budget" for a in console.alerts)
+
+
+class TestShardedServer:
+    def test_daily_review_over_two_shards(self):
+        """The console reviews a two-shard fleet through its merged
+        uploads view, which holds every shard's uploads in time order."""
+        deployment = Deployment(DeploymentConfig(seed=97, servers=2,
+                                                 server_policy="round-robin"))
+        console = OperationsConsole(deployment.sim, deployment.server,
+                                    monthly_data_budget_mb=10_000.0)
+        deployment.run_days(2)
+        uploads = deployment.server.uploads
+        shards = deployment.server.shards
+        assert all(shard.uploads for shard in shards)
+        assert len(uploads) == sum(len(shard.uploads) for shard in shards)
+        assert [u.time for u in uploads] == sorted(u.time for u in uploads)
+        assert console._last_contact("base") == max(
+            u.time for u in uploads if u.station == "base")
+        assert all(a.kind != "silent" for a in console.alerts)

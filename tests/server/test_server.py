@@ -7,7 +7,7 @@ from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
 from repro.energy.components import GPRS_MODEM
 from repro.server.deployment import CodeRelease, InstallOutcome, md5_of, verify_and_install
-from repro.server.server import SouthamptonServer
+from repro.server.fleet import ServerFleet
 from repro.server.state_store import PowerStateStore
 from repro.sim import Simulation
 from repro.sim.simtime import DAY, HOUR
@@ -20,7 +20,7 @@ def sim():
 
 @pytest.fixture
 def server(sim):
-    return SouthamptonServer(sim)
+    return ServerFleet(sim, 1).shard(0)
 
 
 class TestPowerStateStore:
@@ -118,7 +118,7 @@ class TestServerEndpoints:
         response = server.sync_session("base", 3)
         assert response["override"] == 1
         assert response["special"].command_id == marker
-        assert response["loads"] is None  # standalone: no fleet hints
+        assert response["loads"] == {"server": 0}  # the one shard's hint
         assert server.power_states.report_for("base").state == 3
 
     def test_special_commands_fifo_and_one_shot(self, sim, server):
@@ -156,7 +156,7 @@ class TestCodeDeployment:
         assert proc.value is InstallOutcome.INSTALLED
         assert installed["basestation.py"] == 2
         # The checksum was reported immediately, and it matches.
-        report = server.last_checksum_report("basestation.py")
+        report = server.fleet.last_checksum_report("basestation.py")
         assert report is not None
         assert report[3] == release.md5
 
@@ -175,7 +175,7 @@ class TestCodeDeployment:
         assert proc.value is InstallOutcome.CHECKSUM_MISMATCH
         assert installed["basestation.py"] == 1
         # The mismatching checksum is still visible in Southampton at once.
-        report = server.last_checksum_report("basestation.py")
+        report = server.fleet.last_checksum_report("basestation.py")
         assert report[3] != release.md5
 
     def test_unknown_release(self, sim, server, modem):
